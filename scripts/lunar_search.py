@@ -5,8 +5,9 @@ Usage: lunar_search.py [--max N] [--all]
 
 By default prints only the equations commensurate with the Tzolk'in inside
 one Calendar Round (the filter the model applies); --all prints every
-scanned line.  Zero-error equations are starred, the best nonzero one is
-marked as the winner.
+built line, up to the first T of at least one Calendar Round (no later
+equation can pass the filter).  Zero-error equations are starred, the
+best nonzero one is marked as the winner.
 """
 
 import argparse
@@ -40,7 +41,7 @@ def main():
             f"  eps={decimal_str(c.error, 4):>8}  LCM260={c.lcm260:>7}  {' '.join(flags)}"
         )
 
-    print(f"\nscanned {len(result.candidates)}, kept {len(result.filtered)}")
+    print(f"\nscanned {result.scanned}, kept {len(result.filtered)}")
     print("zero-error:", ", ".join(c.ratio_str for c in result.zero_error))
     if best is not None:
         print(f"best nonzero: {best.ratio_str} = {decimal_str(best.ratio, 6)} (eps {decimal_str(best.error, 2)})")

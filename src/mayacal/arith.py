@@ -7,6 +7,11 @@ point never enters an identity check.  Rationals are ``fractions.Fraction``
 computed by merging prime factorizations rather than by repeated pairwise
 ``a*b//gcd`` so that every LCM in the model is auditable against the prime
 tables it came from.
+
+Factorization covers every n up to 2**63 - 1 in milliseconds: trial division
+by the primes below ``TRIAL_BOUND`` (which alone factors every n below
+``TRIAL_BOUND**2``, and so every period in the model), then a deterministic
+Miller-Rabin test and Brent's variant of Pollard rho on what is left.
 """
 
 from __future__ import annotations
@@ -22,21 +27,67 @@ Rational = Fraction
 #: beyond this bound are reported as overflow, never wrapped.
 INT63_MAX = 2**63 - 1
 
+#: factorize trial-divides by the primes below this bound, so every n below
+#: its square is factored by trial division alone.
+TRIAL_BOUND = 1000
+
+#: Miller-Rabin bases: the first 12 primes.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES_PRODUCT = math.prod(_MR_BASES)
+
+#: psi_k, the least odd composite that passes the strong test to the first k
+#: bases (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp. 2014;
+#: Sorenson & Webster, Math. Comp. 2017).  Below psi_k those k bases decide
+#: primality exactly; psi_12 is about 3.2e23, far above the 63-bit bound.
+_MR_EXACT_BELOW = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+
+#: Brent-Pollard rho steps whose differences share one gcd.
+_RHO_BATCH = 128
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
+    """Deterministic Miller-Rabin primality test, exact for every n below psi_12.
+
+    Small prime divisors are ruled out first; each further base is tried
+    only while n is not yet below the bound that makes the bases so far
+    exact.  Integer arithmetic only.  Raises ValueError for n >= psi_12
+    (about 3.2e23), where 12 bases no longer decide primality.
+    """
+    if n <= 37:
+        return n in _MR_BASES
+    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return False
-    if n < 4:
+    if n < 41 * 41:  # no prime factor up to 37, so none at all
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a, bound in zip(_MR_BASES, _MR_EXACT_BELOW):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
+    raise ValueError(f"{n} is beyond the range where Miller-Rabin with 12 bases is exact")
 
 
 @dataclass(frozen=True)
@@ -80,11 +131,12 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor ``n`` by trial division (1 <= n <= 2**63 - 1).
+    """Factor ``n`` exactly (1 <= n <= 2**63 - 1).
 
-    Trial division is deliberate: every period in the model factors into
-    primes below 100, so the loop terminates almost immediately on the
-    inputs the model cares about.
+    Trial division by 2, 3 and 6k +/- 1 below ``TRIAL_BOUND`` removes every
+    small prime; it alone factors every n below ``TRIAL_BOUND**2``, which
+    covers every period in the model.  A larger cofactor is prime by
+    :func:`is_prime` or is split by Brent-Pollard rho, and each part again.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
@@ -100,7 +152,7 @@ def factorize(n: int) -> Factorization:
         if mult:
             factors.append((p, mult))
     d = 5
-    while d * d <= remaining:
+    while d * d <= remaining and d < TRIAL_BOUND:
         mult = 0
         while remaining % d == 0:
             remaining //= d
@@ -108,9 +160,56 @@ def factorize(n: int) -> Factorization:
         if mult:
             factors.append((d, mult))
         d += 2 if d % 6 == 5 else 4  # skip multiples of 2 and 3
-    if remaining > 1:
+    # Every prime below d is divided out, so a cofactor below d*d is prime.
+    if d * d > remaining > 1:
         factors.append((remaining, 1))
+    elif remaining > 1:
+        large = _large_prime_factors(remaining)
+        factors += ((p, large.count(p)) for p in sorted(set(large)))
     return Factorization(tuple(factors))
+
+
+def _large_prime_factors(m: int) -> list[int]:
+    """Prime factors of ``m``, with repetition; ``m`` has no prime factor below ``TRIAL_BOUND``."""
+    if is_prime(m):
+        return [m]
+    d = _rho(m)
+    return _large_prime_factors(d) + _large_prime_factors(m // d)
+
+
+def _rho(n: int) -> int:
+    """A divisor 1 < d < n of a composite ``n`` with no prime factor below ``TRIAL_BOUND``.
+
+    Brent's variant of Pollard rho (Brent, BIT 1980): iterate x -> x*x + c
+    mod n from x = 2, doubling the cycle-search window, for c = 1, 2, ...
+    until a run splits n.  The differences of ``_RHO_BATCH`` steps are
+    multiplied so that one gcd serves them all; a batch whose gcd is n is
+    replayed one step at a time.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def gcd(a: int, b: int) -> int:
@@ -121,7 +220,10 @@ def gcd(a: int, b: int) -> int:
 
 
 def lcm_factorization(values: list[int] | tuple[int, ...]) -> Factorization:
-    """LCM of positive integers as a merged factorization (max multiplicity per prime)."""
+    """LCM of positive integers as a merged factorization (max multiplicity per prime).
+
+    An LCM past 2**63 - 1 is an OverflowError, never a wrapped value.
+    """
     if not values:
         raise ValueError("lcm of an empty list is undefined")
     merged: dict[int, int] = {}
@@ -131,15 +233,15 @@ def lcm_factorization(values: list[int] | tuple[int, ...]) -> Factorization:
         for prime, mult in factorize(v).factors:
             if mult > merged.get(prime, 0):
                 merged[prime] = mult
-    return Factorization(tuple(sorted(merged.items())))
+    result = Factorization(tuple(sorted(merged.items())))
+    if result.value > INT63_MAX:
+        raise OverflowError(f"lcm {result.value} exceeds 2**63 - 1")
+    return result
 
 
 def lcm_many(values: list[int] | tuple[int, ...]) -> int:
     """Exact LCM via factorization merge; overflow past 2**63 - 1 is an error."""
-    result = lcm_factorization(values).value
-    if result > INT63_MAX:
-        raise OverflowError(f"lcm {result} exceeds 2**63 - 1")
-    return result
+    return lcm_factorization(values).value
 
 
 def euclid_div(n: int, d: int) -> tuple[int, int]:

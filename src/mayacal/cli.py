@@ -18,7 +18,7 @@ from fractions import Fraction
 from .arith import INT63_MAX, decimal_str, factorize, round_nearest
 from .checks import Check, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe
-from .cycles import cycle_date
+from .cycles import ERA, cycle_date
 from .lunar import (
     MODERN_SYNODIC_MONTH,
     TABLE_SOURCES,
@@ -153,7 +153,7 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
         "direction_color": cd.direction_color,
         "direction_color_name": cd.direction_color_name,
     }
-    if day % 1872000 == 0:
+    if day % ERA == 0:
         payload["long_count_annotated"] = era_display(day)
     if day in NAMED_DAYS:
         payload["identity"] = NAMED_DAYS[day]
@@ -304,7 +304,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
             "supernumber": n,
             "max_lunations": args.max,
             "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
-            "scanned": len(result.candidates),
+            "scanned": result.scanned,
             "within_calendar_round": len(result.filtered),
             "zero_error": [_candidate_row(c) for c in result.zero_error],
             "minimal_nonzero": [_candidate_row(c) for c in result.minimal_nonzero],

@@ -113,7 +113,8 @@ def ratio_table(n: int) -> list[LunarCandidate]:
 class SearchResult:
     """Outcome of the lunation search i = 1..max."""
 
-    candidates: tuple[LunarCandidate, ...]  # one per i, ordered by i
+    candidates: tuple[LunarCandidate, ...]  # one per i, ordered by i, up to the first T0 >= one CR
+    scanned: int  # lunation counts i covered by the scan: max_lunations
     filtered: tuple[LunarCandidate, ...]  # LCM(260, T0) < one Calendar Round
     zero_error: tuple[LunarCandidate, ...]  # filtered, epsilon = 0
     minimal_nonzero: tuple[LunarCandidate, ...]  # filtered, smallest epsilon > 0
@@ -128,11 +129,12 @@ def search(
 ) -> SearchResult:
     """Scan lunar equations i = 1..max_lunations with T0_i = Rd(i * target).
 
-    Reports every candidate; flags, among those with LCM(260, T0) < 18980,
-    the zero-error set, the smallest-nonzero-error set, the member of that
-    set closest to the target ratio, and the full (error, |S - target|)
-    Pareto front.  The default bound (643) stops at the first table length
-    exceeding one Calendar Round (T = 18988 at i = 643).
+    Flags, among the candidates with LCM(260, T0) < 18980, the zero-error
+    set, the smallest-nonzero-error set, the member of that set closest to
+    the target ratio, and the full (error, |S - target|) Pareto front.
+    Candidates are built up to the first T0 of at least one Calendar Round
+    (T = 18988 at i = 643, the default bound): T0 only grows with i and
+    LCM(260, T0) >= T0, so no later i can pass the filter.
     """
     if max_lunations < 1:
         raise ValueError("max_lunations must be >= 1")
@@ -140,6 +142,8 @@ def search(
     for i in range(1, max_lunations + 1):
         days = round_nearest(i * target)
         candidates.append(candidate(n, days, i))
+        if days >= CALENDAR_ROUND:
+            break
 
     filtered = tuple(c for c in candidates if c.lcm260 < CALENDAR_ROUND)
     zero = tuple(c for c in filtered if c.error == 0)
@@ -162,6 +166,7 @@ def search(
     )
     return SearchResult(
         candidates=tuple(candidates),
+        scanned=max_lunations,
         filtered=filtered,
         zero_error=zero,
         minimal_nonzero=minimal,

@@ -96,8 +96,7 @@ class DerivedConstants:
 def compute_supernumber(periods: InputPeriods = CANONICAL_PERIODS) -> tuple[int, Factorization]:
     """LCM of the nine periods, with the merged factorization it came from."""
     factors = lcm_factorization(periods.as_tuple())
-    n = lcm_many(periods.as_tuple())
-    return n, factors
+    return factors.value, factors
 
 
 def derive_constants(periods: InputPeriods = CANONICAL_PERIODS) -> DerivedConstants:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mayacal.arith import (
@@ -12,6 +12,7 @@ from mayacal.arith import (
     euclid_div,
     factorize,
     gcd,
+    is_prime,
     lcm_many,
     round_nearest,
 )
@@ -34,6 +35,39 @@ def pairwise_lcm(values):
     for v in values:
         out = out * v // math.gcd(out, v)
     return out
+
+
+def trial_is_prime(n):
+    # Reference: trial division by every odd d up to sqrt(n).
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def trial_factorize(n):
+    # Reference: trial division by every d from 2 up to sqrt(n).
+    factors = []
+    d = 2
+    while d * d <= n:
+        mult = 0
+        while n % d == 0:
+            n //= d
+            mult += 1
+        if mult:
+            factors.append((d, mult))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
 
 
 class TestFactorize:
@@ -83,6 +117,44 @@ class TestFactorize:
         assert str(factorize(3276)) == "2^2 × 3^2 × 7 × 13"
         assert str(factorize(399)) == "3 × 7 × 19"
         assert str(factorize(1)) == "1"
+
+
+class TestLargeInputs:
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (2**61 - 1, {2**61 - 1: 1}),
+            (2**63 - 25, {2**63 - 25: 1}),  # the largest prime below 2**63
+            (2**63 - 1, {7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1}),
+            (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),
+            (561, {3: 1, 11: 1, 17: 1}),
+            (41041, {7: 1, 11: 1, 13: 1, 41: 1}),
+            (3037000493**2, {3037000493: 2}),
+            (2147483647**2, {2147483647: 2}),
+            (2097143**3, {2097143: 3}),
+            (1000000007 * 1000000009, {1000000007: 1, 1000000009: 1}),
+        ],
+    )
+    def test_exact_factors(self, n, expected):
+        f = factorize(n)
+        assert f.as_dict() == expected
+        assert f.value == n
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # psi_k: the least odd composite passing the strong test to the first
+        # k prime bases (3825123056546413051 passes bases 2..31).
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 561, 41041):
+            assert not is_prime(n)
+
+    def test_is_prime_rejects_beyond_exact_range(self):
+        # psi_12 passes the strong test to all twelve bases.
+        with pytest.raises(ValueError):
+            is_prime(318665857834031151167461)
+
+    def test_factorization_checks_large_factors(self):
+        with pytest.raises(ValueError):
+            Factorization(((3825123056546413051, 1),))
 
 
 class TestFactorizationInvariants:
@@ -217,6 +289,26 @@ def test_lcm_gcd_product_identity(a, b):
 @given(st.integers(min_value=1, max_value=10**6))
 def test_factorize_reconstructs(n):
     assert factorize(n).value == n
+
+
+@given(st.integers(min_value=1, max_value=10**7))
+def test_factorize_matches_trial_division(n):
+    assert factorize(n).factors == trial_factorize(n)
+
+
+@given(st.integers(min_value=-10, max_value=10**7))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == trial_is_prime(n)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=3037000499), st.integers(min_value=1, max_value=3037000499))
+def test_factorize_is_multiplicative(a, b):
+    # a * b <= 3037000499**2 < 2**63 - 1; its factorization merges those of a and b.
+    merged = factorize(a).as_dict()
+    for prime, mult in factorize(b).factors:
+        merged[prime] = merged.get(prime, 0) + mult
+    assert factorize(a * b).as_dict() == merged
 
 
 @given(st.integers(min_value=0, max_value=INT63_MAX), st.integers(min_value=1, max_value=INT63_MAX))

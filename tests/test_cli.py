@@ -145,6 +145,15 @@ class TestLunar:
         assert data["payload"]["scanned"] == 10
         assert data["checks"] == []
 
+    def test_search_long_scan(self, run):
+        code, out = run("--format", "json", "lunar", "search", "--max", "100000000")
+        assert code == 0
+        long = json.loads(out)["payload"]
+        assert (long.pop("max_lunations"), long.pop("scanned")) == (100000000, 100000000)
+        default = json.loads(run("--format", "json", "lunar", "search")[1])["payload"]
+        del default["max_lunations"], default["scanned"]
+        assert long == default
+
     def test_age_zero(self, run):
         code, out = run("lunar", "age", "--lc", "0.0.0.0.0", "--lc0", "0.0.0.0.0", "--ratio", "2392/81")
         assert code == 0
@@ -175,6 +184,11 @@ class TestFactor:
         code, out = run("factor", "1")
         assert code == 0
         assert "factorization: 1" in out
+
+    def test_mersenne_prime(self, run):
+        code, out = run("factor", "2305843009213693951")
+        assert code == 0
+        assert "factorization: 2305843009213693951" in out
 
     def test_out_of_range(self, run):
         assert run("factor", "0")[0] == 2

@@ -150,6 +150,17 @@ class TestSearch:
         assert all(c.days != 4784 for c in result.filtered)
         assert any(c.days == 4784 for c in result.candidates)
 
+    def test_long_scan_matches_default(self):
+        # No T0 >= one Calendar Round passes the filter, so the scan stops building there.
+        short, long = search(N), search(N, max_lunations=10**8)
+        assert long.scanned == 10**8
+        assert short.scanned == len(short.candidates) == len(long.candidates) == 643
+        assert long.filtered == short.filtered
+        assert long.zero_error == short.zero_error
+        assert long.minimal_nonzero == short.minimal_nonzero
+        assert long.best == short.best
+        assert long.pareto == short.pareto
+
     def test_max_lunations_validated(self):
         with pytest.raises(ValueError):
             search(N, max_lunations=0)
