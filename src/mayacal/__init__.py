@@ -9,11 +9,8 @@ and correlates day counts to Julian Day Numbers and civil dates.
 
 from .arith import (
     Factorization,
-    Rational,
     decimal_str,
-    euclid_div,
     factorize,
-    gcd,
     lcm_many,
     round_nearest,
 )
@@ -35,7 +32,6 @@ from .cycles import (
     TzolkinDate,
     calendar_round_day,
     cycle_date,
-    day_from_long_count,
     haab_from_pos,
     long_count_from_day,
     tzolkin_from_pos,
@@ -58,19 +54,15 @@ from .notation import (
     format_date,
     parse,
     resolution,
-    resolve,
 )
 from .supernumber import (
     SUPER_NUMBER,
     XULTUN,
     DerivedConstants,
-    InputPeriods,
-    compute_supernumber,
     creation_residues,
     cultural_dates,
     derive_constants,
     verify_aeon_identity,
-    verify_euclid_identities,
 )
 
 __version__ = "0.1.0"

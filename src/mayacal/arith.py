@@ -20,9 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rational type used throughout the package.
-Rational = Fraction
-
 #: All inputs the model factorizes fit in a signed 64-bit word; results
 #: beyond this bound are reported as overflow, never wrapped.
 INT63_MAX = 2**63 - 1
@@ -212,13 +209,6 @@ def _rho(n: int) -> int:
             return g
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two non-negative integers; gcd(0, b) = b."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd arguments must be non-negative")
-    return math.gcd(a, b)
-
-
 def lcm_factorization(values: list[int] | tuple[int, ...]) -> Factorization:
     """LCM of positive integers as a merged factorization (max multiplicity per prime).
 
@@ -244,18 +234,7 @@ def lcm_many(values: list[int] | tuple[int, ...]) -> int:
     return lcm_factorization(values).value
 
 
-def euclid_div(n: int, d: int) -> tuple[int, int]:
-    """Euclidean division: n = d*q + r with 0 <= r < d."""
-    if d == 0:
-        raise ZeroDivisionError("euclid_div by zero")
-    if d < 0:
-        raise ValueError(f"divisor must be positive, got {d}")
-    if n < 0:
-        raise ValueError(f"dividend must be non-negative, got {n}")
-    return divmod(n, d)
-
-
-def round_nearest(r: Rational | int) -> int:
+def round_nearest(r: Fraction | int) -> int:
     """Nearest integer to ``r``; exact halves round away from zero."""
     f = Fraction(r)
     n, d = f.numerator, f.denominator
@@ -264,7 +243,7 @@ def round_nearest(r: Rational | int) -> int:
     return -((2 * -n + d) // (2 * d))
 
 
-def decimal_str(r: Rational | int, places: int) -> str:
+def decimal_str(r: Fraction | int, places: int) -> str:
     """Exact decimal rendering of a rational, rounded to ``places`` digits.
 
     Rounding matches :func:`round_nearest` (half away from zero) applied at

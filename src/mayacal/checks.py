@@ -54,9 +54,6 @@ class Report:
         self.checks.append(c)
         return c
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -64,10 +61,3 @@ class Report:
     @property
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "title": self.title,
-            "ok": self.ok,
-            "checks": [c.as_dict() for c in self.checks],
-        }

@@ -46,7 +46,18 @@ from .supernumber import (
 
 FORMAT_ENV_VAR = "MAYACAL_FORMAT"
 
-VERIFY_SCOPES = ("all", "eq1", "eq2", "eq3", "eq4", "residues", "dates", "lunar", "eclipse")
+#: The verify suites in paper order, each a function of the derived
+#: constants; ``verify all`` runs every one.
+SUITES = {
+    "eq1": lambda c: [verify_supernumber(c), verify_xultun(c)],
+    "eq2": lambda c: [verify_grand_cycle_division(c)],
+    "eq3": lambda c: [verify_aeon_division(c)],
+    "eq4": lambda c: [verify_aeon_identity(c)],
+    "residues": lambda c: [creation_residues(c)],
+    "dates": lambda c: [verify_cultural_dates(c)],
+    "lunar": lambda c: [verify_ratio_table(c.n), verify_palenque(c.n), verify_search(search(c.n))],
+    "eclipse": lambda c: [eclipse_commensuration()],
+}
 
 #: Days the model names; convert identifies them in its output.
 NAMED_DAYS = {
@@ -56,7 +67,7 @@ NAMED_DAYS = {
     1366560: "Long Round (Dresden Codex Venus table)",
     1708200: "date of the Itza prophecy (5*X0)",
     1765140: "third Xultun number (X2)",
-    1872000: "end of the 13 Baktun Era",
+    ERA: "end of the 13 Baktun Era",
     2448420: "fourth Xultun number (X3)",
     136656000: "Maya Aeon",
     683280000: "end of the 5 Maya Aeon",
@@ -228,29 +239,10 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     return OutputEnvelope.result("convert", payload)
 
 
-def _verify_suites(scope: str):
-    constants = derive_constants()
-    n = constants.n
-    suites = {
-        "eq1": lambda: [verify_supernumber(constants), verify_xultun(constants)],
-        "eq2": lambda: [verify_grand_cycle_division(constants)],
-        "eq3": lambda: [verify_aeon_division(constants)],
-        "eq4": lambda: [verify_aeon_identity(constants)],
-        "residues": lambda: [creation_residues(constants).report],
-        "dates": lambda: [verify_cultural_dates(constants)],
-        "lunar": lambda: [verify_ratio_table(n), verify_palenque(n), verify_search(n)],
-        "eclipse": lambda: [eclipse_commensuration()],
-    }
-    if scope == "all":
-        reports = []
-        for name in ("eq1", "eq2", "eq3", "eq4", "residues", "dates", "lunar", "eclipse"):
-            reports += suites[name]()
-        return reports
-    return suites[scope]()
-
-
 def cmd_verify(args, constant: CorrelationConstant) -> OutputEnvelope:
-    reports = _verify_suites(args.scope)
+    constants = derive_constants()
+    scopes = SUITES if args.scope == "all" else (args.scope,)
+    reports = [report for scope in scopes for report in SUITES[scope](constants)]
     checks = [c for report in reports for c in report.checks]
     failed = sum(1 for c in checks if not c.passed)
     payload = {
@@ -270,7 +262,7 @@ def _candidate_row(c: LunarCandidate) -> dict:
         "ratio_decimal": decimal_str(c.ratio, 6),
         "error": str(c.error),
         "error_decimal": decimal_str(c.error, 6),
-        "lcm_260": c.lcm260 if c.lcm260 else None,
+        "lcm_260": c.lcm260,
     }
 
 
@@ -312,7 +304,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
             "pareto": [_candidate_row(c) for c in result.pareto],
         }
         # The published-outcome checks only apply to the full 643-lunation scan.
-        checks = verify_search(n).checks if args.max == 643 else []
+        checks = verify_search(result).checks if args.max == 643 else []
         return OutputEnvelope.result("lunar search", payload, checks)
 
     # age
@@ -406,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p)
 
     p = sub.add_parser("verify", help="run the identity suites")
-    p.add_argument("scope", nargs="?", default="all", choices=VERIFY_SCOPES)
+    p.add_argument("scope", nargs="?", default="all", choices=("all", *SUITES))
     _output_flags(p)
 
     p = sub.add_parser("lunar", help="lunar ratio table, lunation search, Moon age")
@@ -468,13 +460,10 @@ def main(argv: list[str] | None = None) -> int:
         env = os.environ.get(FORMAT_ENV_VAR, "")
         fmt = env if env in ("text", "json") else "text"
     correlation = args.correlation if args.correlation is not None else GMT_CORRELATION
-    if correlation <= 0:
-        print(f"mayacal: error: correlation constant must be positive, got {correlation}", file=sys.stderr)
-        return 2
     label = "GMT" if correlation == GMT_CORRELATION else "custom"
-    constant = CorrelationConstant(jdn_at_creation=correlation, label=label)
 
     try:
+        constant = CorrelationConstant(jdn_at_creation=correlation, label=label)
         envelope = HANDLERS[args.command](args, constant)
     except DateParseError as exc:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)

@@ -39,7 +39,7 @@ class CorrelationConstant:
 
     def __post_init__(self) -> None:
         if self.jdn_at_creation <= 0:
-            raise ValueError("correlation constant must be positive")
+            raise ValueError(f"correlation constant must be positive, got {self.jdn_at_creation}")
 
 
 GMT = CorrelationConstant()
@@ -81,10 +81,6 @@ class CivilDate:
 
     def __str__(self) -> str:
         return f"{self.day} {MONTH_NAMES[self.month - 1]} {self.year_display}"
-
-    @property
-    def iso(self) -> str:
-        return f"{self.year:05d}-{self.month:02d}-{self.day:02d}" if self.year < 0 else f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
 
 
 def to_jdn(day: int, constant: CorrelationConstant = GMT) -> int:

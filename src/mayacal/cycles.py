@@ -217,11 +217,6 @@ def long_count_from_day(day: int) -> LongCount:
     return LongCount(baktun, katun, tun, winal, kin)
 
 
-def day_from_long_count(lc: LongCount) -> int:
-    """Day number of a Long Count; inverse of :func:`long_count_from_day`."""
-    return lc.days
-
-
 def cycle_date(day: int) -> CycleDate:
     """All cyclical positions of a day number (pre-creation days rejected)."""
     if day < 0:

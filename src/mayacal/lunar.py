@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Rational, decimal_str, lcm_many, round_nearest
+from .arith import decimal_str, lcm_many, round_nearest
 from .checks import Report
 from .cycles import CALENDAR_ROUND
 
@@ -47,7 +47,7 @@ PALENQUE_RATIO = Fraction(PALENQUE_DAYS, PALENQUE_LUNATIONS)
 PALENQUE_MULTIPLIER = 26008014145502  # lunations in N: 81*N + 104 = multiplier * 2392
 
 
-def epsilon(n: int, days: int, lunations: int) -> Rational:
+def epsilon(n: int, days: int, lunations: int) -> Fraction:
     """Exact error of the lunar equation ``lunations = days`` against ``n``.
 
     Always in [0, days/(2*lunations)]; zero exactly when days | n*lunations.
@@ -64,9 +64,9 @@ class LunarCandidate:
 
     days: int  # T0
     lunations: int  # L
-    ratio: Rational  # S = T0/L
-    error: Rational  # epsilon against the super-number
-    lcm260: int  # LCM(260, T0), commensuration with the Tzolk'in
+    ratio: Fraction  # S = T0/L
+    error: Fraction  # epsilon against the super-number
+    lcm260: int | None  # LCM(260, T0), commensuration with the Tzolk'in
 
     @property
     def ratio_str(self) -> str:
@@ -103,7 +103,7 @@ def ratio_table(n: int) -> list[LunarCandidate]:
             lunations=modern.denominator,
             ratio=modern,
             error=epsilon(n, modern.numerator, modern.denominator),
-            lcm260=0,  # not a whole-day table length; no Tzolk'in commensuration
+            lcm260=None,  # not a whole-day table length; no Tzolk'in commensuration
         )
     )
     return rows
@@ -124,7 +124,7 @@ class SearchResult:
 
 def search(
     n: int,
-    target: Rational = MODERN_SYNODIC_MONTH,
+    target: Fraction = MODERN_SYNODIC_MONTH,
     max_lunations: int = 643,
 ) -> SearchResult:
     """Scan lunar equations i = 1..max_lunations with T0_i = Rd(i * target).
@@ -175,7 +175,7 @@ def search(
     )
 
 
-def moon_age(lc: int, lc0: int, ratio: Rational) -> Rational:
+def moon_age(lc: int, lc0: int, ratio: Fraction) -> Fraction:
     """Days into the current lunation: remainder of (lc - lc0) modulo the ratio.
 
     Exact rational in [0, ratio); lc must not precede the new-Moon anchor lc0.
@@ -231,10 +231,9 @@ def verify_palenque(n: int) -> Report:
     return report
 
 
-def verify_search(n: int) -> Report:
-    """The published outcome of the 643-lunation scan."""
+def verify_search(result: SearchResult) -> Report:
+    """The published outcome of the 643-lunation scan ``result``."""
     report = Report("lunation search")
-    result = search(n)
     report.check(
         "zero-error ratios inside one CR",
         [(30, 1), (59, 2), (118, 4), (148, 5), (236, 8), (295, 10)],

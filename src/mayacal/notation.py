@@ -3,14 +3,14 @@
 Grammar (whitespace-tolerant, names case-insensitive):
 
     long count      ::= B.K.T.W.I            five dot-separated integers;
-                                             the leading digit may carry a
-                                             parenthetical, "13(0)" = baktun 13
+                                             the leading digit may be written
+                                             "13(0)", era completion = baktun 13
     calendar round  ::= <1..13> <tzolkin-name> <0..19> <haab-month>
     combined        ::= long count calendar round
 
 Parse errors carry the byte offset of the offending token.  The "13(0)"
 parenthetical is display sugar for era completion; the parsed value is
-baktun 13.
+baktun 13.  Any other parenthetical is an error.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class DateExpression:
     """A date as written: any subset of Long Count, Calendar Round, Kawil parts.
 
     Components are not cross-checked at construction; consistency for some
-    day number is decided by :func:`resolve`.
+    day number is decided by :func:`resolution`.
     """
 
     long_count: LongCount | None = None
@@ -108,6 +108,8 @@ def _parse_long_count(word: str, offset: int) -> LongCount:
     lead = _LEADING_DIGIT.match(parts[0])
     if lead is None:
         raise DateParseError(f"bad long count digit {parts[0]!r}", positions[0])
+    if lead.group(2) is not None and lead.group(0) != "13(0)":
+        raise DateParseError(f"only 13(0) marks an era completion, got {parts[0]!r}", positions[0])
     digits = [int(lead.group(1))]
     for part, at in zip(parts[1:], positions[1:]):
         if not part.isdigit():
@@ -252,8 +254,3 @@ def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
             hits.append(day)
         day += period
     return Resolution(days=tuple(hits), inconsistent=False)
-
-
-def resolve(expr: DateExpression, window: tuple[int, int]) -> list[int]:
-    """Day numbers in the inclusive window matching the expression."""
-    return list(resolution(expr, window).days)

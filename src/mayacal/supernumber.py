@@ -17,9 +17,10 @@ expected against computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .arith import Factorization, euclid_div, factorize, gcd, lcm_factorization, lcm_many
+from .arith import Factorization, lcm_factorization, lcm_many
 from .checks import Report
 from .cycles import (
     CALENDAR_ROUND,
@@ -41,40 +42,10 @@ XULTUN_UNIT = 56940
 LONG_ROUND = 1366560  # 9.9.16.0.0, Dresden Codex Venus table
 
 
-@dataclass(frozen=True)
-class InputPeriods:
-    """The nine canonical day counts behind the super-number."""
-
-    mercury: int = 116
-    venus: int = 584
-    earth_haab: int = 365
-    mars: int = 780
-    jupiter: int = 399
-    saturn: int = 378
-    lunar_semester_a: int = 177
-    lunar_semester_b: int = 178
-    pentalunex: int = 148
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.mercury,
-            self.venus,
-            self.earth_haab,
-            self.mars,
-            self.jupiter,
-            self.saturn,
-            self.lunar_semester_a,
-            self.lunar_semester_b,
-            self.pentalunex,
-        )
-
-    def __post_init__(self) -> None:
-        for value in self.as_tuple():
-            if value < 1:
-                raise ValueError(f"periods must be >= 1, got {value}")
-
-
-CANONICAL_PERIODS = InputPeriods()
+#: The nine canonical day counts behind the super-number: the synodic
+#: periods of Mercury, Venus, Earth (the Haab'), Mars, Jupiter and Saturn,
+#: the two lunar semesters and the pentalunex.
+CANONICAL_PERIODS = (116, 584, 365, 780, 399, 378, 177, 178, 148)
 
 
 @dataclass(frozen=True)
@@ -93,25 +64,17 @@ class DerivedConstants:
     kawil_cycle: int = KAWIL_CYCLE
 
 
-def compute_supernumber(periods: InputPeriods = CANONICAL_PERIODS) -> tuple[int, Factorization]:
-    """LCM of the nine periods, with the merged factorization it came from."""
-    factors = lcm_factorization(periods.as_tuple())
-    return factors.value, factors
+def derive_constants() -> DerivedConstants:
+    """Derive every named cycle from the canonical periods.
 
-
-def derive_constants(periods: InputPeriods = CANONICAL_PERIODS) -> DerivedConstants:
-    """Derive every named cycle for the canonical periods.
-
-    The derivations are specific to the canonical inputs: the third and
-    fourth Xultun numbers are deciphered constants, not recomputable from
-    the periods, so non-canonical inputs are rejected.
+    N is the LCM of the periods, kept with the merged factorization it came
+    from.  The Xultun numbers are deciphered constants, not recomputable
+    from the periods.
     """
-    if periods != CANONICAL_PERIODS:
-        raise ValueError("derived constants are defined for the canonical periods only")
-    n, factors = compute_supernumber(periods)
+    factors = lcm_factorization(CANONICAL_PERIODS)
     x0 = lcm_many([260, 360, 365])
     return DerivedConstants(
-        n=n,
+        n=factors.value,
         n_factors=factors,
         xultun=XULTUN,
         tun_haab_kawil=lcm_many([360, 365, KAWIL_CYCLE]),
@@ -131,13 +94,12 @@ def verify_supernumber(c: DerivedConstants) -> Report:
         {2: 3, 3: 3, 5: 1, 7: 1, 13: 1, 19: 1, 29: 1, 37: 1, 59: 1, 73: 1, 89: 1},
         c.n_factors.as_dict(),
     )
-    periods = CANONICAL_PERIODS.as_tuple()
-    report.check("N divisible by every period", [0] * 9, [c.n % p for p in periods])
+    report.check("N divisible by every period", [0] * 9, [c.n % p for p in CANONICAL_PERIODS])
     y = c.tun_haab_kawil
     report.check(
         "cofactors LCM(P_i, Y)/Y",
         [29, 1, 1, 1, 19, 3, 59, 89, 37],
-        [lcm_many([p, y]) // y for p in periods],
+        [lcm_many([p, y]) // y for p in CANONICAL_PERIODS],
     )
     report.check("N = Y * 3 * 19 * 29 * 37 * 59 * 89", c.n, y * 3 * 19 * 29 * 37 * 59 * 89)
     return report
@@ -146,10 +108,10 @@ def verify_supernumber(c: DerivedConstants) -> Report:
 def verify_xultun(c: DerivedConstants) -> Report:
     """Xultun number ratios and their 56940-day common unit."""
     report = Report("Xultun numbers")
-    x0, x1, x2, x3 = c.xultun
+    x0, x1 = c.xultun[:2]
     report.check("X_i / 56940", [6, 21, 31, 43], [x // XULTUN_UNIT for x in c.xultun])
     report.check("X_i divisible by 56940", [0, 0, 0, 0], [x % XULTUN_UNIT for x in c.xultun])
-    report.check("gcd of the X_i", XULTUN_UNIT, gcd(gcd(x0, x1), gcd(x2, x3)))
+    report.check("gcd of the X_i", XULTUN_UNIT, math.gcd(*c.xultun))
     report.check("56940 = LCM(365, 780)", XULTUN_UNIT, lcm_many([365, 780]))
     report.check("X0 = LCM(260, 360, 365)", x0, lcm_many([260, 360, 365]))
     report.check("X0 = LR / 4", x0, c.long_round // 4)
@@ -170,10 +132,10 @@ def verify_grand_cycle_division(c: DerivedConstants) -> Report:
     report.check(
         "N/37 = LCM of periods without pentalunex",
         n37,
-        lcm_many([116, 584, 365, 780, 399, 378, 177, 178]),
+        lcm_many(CANONICAL_PERIODS[:-1]),
     )
     sum_x = sum(c.xultun)
-    q, r = euclid_div(n37, c.grand_cycle)
+    q, r = divmod(n37, c.grand_cycle)
     report.check("N/37 = GC*q + r: q", 21699, q)
     report.check("N/37 = GC*q + r: r", 724618440, r)
     report.check("r = 101 * 126 * 56940", r, 101 * 126 * XULTUN_UNIT)
@@ -191,20 +153,12 @@ def verify_aeon_division(c: DerivedConstants) -> Report:
     report.check("37 divides N", 0, c.n % 37)
     n37 = c.n // 37
     x0 = c.xultun[0]
-    q, r = euclid_div(n37, c.aeon)
+    q, r = divmod(n37, c.aeon)
     report.check("N/37 = A*q + r: q", 151898, q)
     report.check("N/37 = A*q + r: r", 41338440, r)
     report.check("r = 6 * 121 * 56940", r, 6 * 121 * XULTUN_UNIT)
     report.check("r = 121 * X0", r, 121 * x0)
     report.check("N/37 - 121*X0 = 151898 * A", n37 - 121 * x0, 151898 * c.aeon)
-    return report
-
-
-def verify_euclid_identities(c: DerivedConstants) -> Report:
-    """Both Euclidean divisions of N/37, as one report."""
-    report = Report("Euclidean divisions of N/37")
-    report.extend(verify_grand_cycle_division(c))
-    report.extend(verify_aeon_division(c))
     return report
 
 
@@ -239,24 +193,7 @@ def verify_aeon_identity(c: DerivedConstants) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class CreationResidues:
-    """Residues of the super-number that anchor the creation date."""
-
-    quotient: int  # N / (13 * 37 * 73)
-    mod_260: int
-    mod_13: int
-    mod_20: int
-    mod_73: int
-    kawil_residue: int  # mod(N / 37 / 32760, 4)
-    anchor_tzolkin: str
-    anchor_haab: str
-    shifted_haab: str
-    tun13_shift: int
-    report: Report
-
-
-def creation_residues(c: DerivedConstants) -> CreationResidues:
+def creation_residues(c: DerivedConstants) -> Report:
     """Initialize the Calendar Round and Kawil indices from the super-number.
 
     The residues of N/13/37/73 name the pair {160; 49}, i.e. 4 Ahau 8 Zip.
@@ -298,20 +235,7 @@ def creation_residues(c: DerivedConstants) -> CreationResidues:
     report.check("shifted Haab'", "8 Cumku", str(shifted_h))
     report.check("creation Kawil count", 3, kawil_residue)
     report.check("creation direction-color", "East-Red", cycle_date(0).direction_color_name)
-
-    return CreationResidues(
-        quotient=q,
-        mod_260=q % 260,
-        mod_13=q % 13,
-        mod_20=q % 20,
-        mod_73=q % 73,
-        kawil_residue=kawil_residue,
-        anchor_tzolkin=str(anchor_t),
-        anchor_haab=str(anchor_h),
-        shifted_haab=str(shifted_h),
-        tun13_shift=shift,
-        report=report,
-    )
+    return report
 
 
 @dataclass(frozen=True)

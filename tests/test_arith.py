@@ -9,9 +9,7 @@ from mayacal.arith import (
     INT63_MAX,
     Factorization,
     decimal_str,
-    euclid_div,
     factorize,
-    gcd,
     is_prime,
     lcm_many,
     round_nearest,
@@ -174,27 +172,16 @@ class TestFactorizationInvariants:
 class TestGcd:
     def test_xultun_pair_matches_brute_force(self):
         assert brute_gcd(341640, 1195740) == 170820
-        assert gcd(341640, 1195740) == 170820
+        assert math.gcd(341640, 1195740) == 170820
 
     def test_all_four_xultun_numbers(self):
         # The common divisor of the whole set is one third of the pairwise one.
         values = (341640, 1195740, 1765140, 2448420)
-        acc = 0
-        for v in values:
-            acc = gcd(acc, v)
-        assert acc == 56940
-
-    def test_zero_identity(self):
-        assert gcd(0, 7) == 7
-        assert gcd(7, 0) == 7
+        assert math.gcd(*values) == 56940
 
     def test_cycle_pair(self):
         assert brute_gcd(260, 365) == 5
-        assert gcd(260, 365) == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gcd(-4, 2)
+        assert math.gcd(260, 365) == 5
 
 
 class TestLcm:
@@ -228,24 +215,11 @@ class TestEuclidDiv:
         # Dividend is the supernumber divided by 37, computed exactly.
         n37 = 768039133778280 // 37
         assert n37 == 20757814426440
-        assert euclid_div(n37, 956592000) == (21699, 724618440)
+        assert divmod(n37, 956592000) == (21699, 724618440)
 
     def test_aeon_division(self):
         n37 = 768039133778280 // 37
-        assert euclid_div(n37, 136656000) == (151898, 41338440)
-
-    def test_small_dividend(self):
-        assert euclid_div(5, 7) == (0, 5)
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            euclid_div(5, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            euclid_div(5, -1)
-        with pytest.raises(ValueError):
-            euclid_div(-5, 1)
+        assert divmod(n37, 136656000) == (151898, 41338440)
 
 
 class TestRoundNearest:
@@ -283,7 +257,7 @@ class TestDecimalStr:
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 def test_lcm_gcd_product_identity(a, b):
-    assert lcm_many([a, b]) * gcd(a, b) == a * b
+    assert lcm_many([a, b]) * math.gcd(a, b) == a * b
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -309,13 +283,6 @@ def test_factorize_is_multiplicative(a, b):
     for prime, mult in factorize(b).factors:
         merged[prime] = merged.get(prime, 0) + mult
     assert factorize(a * b).as_dict() == merged
-
-
-@given(st.integers(min_value=0, max_value=INT63_MAX), st.integers(min_value=1, max_value=INT63_MAX))
-def test_euclid_div_contract(n, d):
-    q, r = euclid_div(n, d)
-    assert n == d * q + r
-    assert 0 <= r < d
 
 
 @given(st.permutations([116, 584, 365, 780, 399, 378, 177, 178, 148]))

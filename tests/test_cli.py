@@ -8,6 +8,7 @@ import pytest
 from mayacal import cli
 from mayacal.checks import Check
 from mayacal.cli import OutputEnvelope, main
+from mayacal.lunar import search
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +98,17 @@ class TestConvert:
     def test_negative_day(self, run):
         assert run("convert", "--day", "-3")[0] == 2
 
+    def test_non_positive_correlation(self, run):
+        code, out = run("--correlation", "0", "convert", "--day", "0")
+        assert code == 2
+        assert "status: error" in out
+        assert "correlation constant must be positive, got 0" in out
+        code, out = run("--format", "json", "--correlation", "0", "convert", "--day", "0")
+        assert code == 2
+        data = json.loads(out)
+        assert data["status"] == "error"
+        assert data["payload"]["error"] == "correlation constant must be positive, got 0"
+
     def test_custom_correlation(self, run):
         code, out = run("--correlation", "584285", "convert", "--day", "1872000")
         assert code == 0
@@ -117,6 +129,19 @@ class TestVerify:
         assert data["payload"]["checks_total"] >= 20
         assert data["payload"]["checks_failed"] == 0
         assert all(c["pass"] for c in data["checks"])
+
+    def test_one_lunation_scan_per_command(self, run, monkeypatch):
+        calls = []
+
+        def counting_search(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "search", counting_search)
+        for argv in (("lunar", "search"), ("verify", "lunar")):
+            calls.clear()
+            code, _ = run(*argv)
+            assert (code, len(calls)) == (0, 1), argv
 
     def test_unknown_scope(self, run):
         with pytest.raises(SystemExit) as exc:

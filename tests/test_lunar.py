@@ -77,6 +77,7 @@ class TestRatioTable:
     def test_modern_row(self):
         modern = ratio_table(N)[-1]
         assert modern.ratio == MODERN_SYNODIC_MONTH
+        assert modern.lcm260 is None  # not a whole-day length
         assert round_nearest(modern.error) == 4
 
     def test_dresden_table_commensuration(self):
@@ -103,7 +104,7 @@ class TestPalenque:
 
 class TestSearch:
     def test_report_passes(self):
-        report = verify_search(N)
+        report = verify_search(search(N))
         assert report.ok, report.failures
 
     def test_zero_error_set_is_exact(self):

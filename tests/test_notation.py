@@ -13,7 +13,6 @@ from mayacal.notation import (
     format_date,
     parse,
     resolution,
-    resolve,
 )
 
 
@@ -28,6 +27,13 @@ class TestParseLongCount:
         assert expr.long_count == LongCount(13, 0, 0, 0, 0)
         assert expr.tzolkin == TzolkinDate(4, 19)
         assert expr.haab == HaabDate(8, 17)
+
+    def test_only_era_parenthetical(self):
+        assert parse("13(0).0.0.0.0").long_count == LongCount(13, 0, 0, 0, 0)
+        for bad in ("7(99).0.0.0.0", "13(5).0.0.0.0"):
+            with pytest.raises(DateParseError) as exc:
+                parse(" " + bad)
+            assert exc.value.position == 1
 
     def test_whitespace_tolerant(self):
         expr = parse("  9.9.16.0.0   4   Ahau   8   Cumku  ")
@@ -145,15 +151,15 @@ class TestFormat:
 class TestResolve:
     def test_creation_in_first_round(self):
         expr = parse("4 Ahau 8 Cumku")
-        assert resolve(expr, (0, 18979)) == [0]
+        assert resolution(expr, (0, 18979)).days == (0,)
 
     def test_long_count_unique(self):
         expr = parse("11.17.5.0.0")
-        assert resolve(expr, (0, 2 * 10**6)) == [1708200]
+        assert resolution(expr, (0, 2 * 10**6)).days == (1708200,)
 
     def test_calendar_round_recurrence(self):
         expr = parse("4 Ahau 8 Cumku")
-        hits = resolve(expr, (0, 1872000))
+        hits = resolution(expr, (0, 1872000)).days
         assert len(hits) == 1872000 // 18980 + 1 == 99
         assert hits[0] == 0
         assert all(b - a == 18980 for a, b in zip(hits, hits[1:]))
@@ -164,11 +170,11 @@ class TestResolve:
 
     def test_window_excludes_base(self):
         expr = parse("4 Ahau 3 Kankin")
-        assert resolve(expr, (1860000, 1872000)) == [1872000]
+        assert resolution(expr, (1860000, 1872000)).days == (1872000,)
 
     def test_unreachable_pair_is_empty(self):
         expr = parse("1 Imix 1 Pop")
-        assert resolve(expr, (0, 18979)) == []
+        assert resolution(expr, (0, 18979)).days == ()
 
     def test_inconsistent_combined_flagged(self):
         expr = parse("13(0).0.0.0.0 4 Ahau 8 Cumku")  # era notation: baktun 13
@@ -190,13 +196,13 @@ class TestResolve:
 
     def test_tzolkin_only(self):
         expr = DateExpression(tzolkin=TzolkinDate(4, 19))
-        hits = resolve(expr, (0, 1000))
-        assert hits == [0, 260, 520, 780]
+        hits = resolution(expr, (0, 1000)).days
+        assert hits == (0, 260, 520, 780)
 
     def test_kawil_only(self):
         expr = DateExpression(kawil=(3, 0))
-        hits = resolve(expr, (0, 10000))
-        assert hits == [0, 3276, 6552, 9828]
+        hits = resolution(expr, (0, 10000)).days
+        assert hits == (0, 3276, 6552, 9828)
         for day in hits:
             cd = cycle_date(day)
             assert (cd.kawil, cd.direction_color) == (3, 0)
@@ -204,16 +210,16 @@ class TestResolve:
     def test_calendar_round_with_kawil(self):
         cd = cycle_date(1708200)
         expr = DateExpression(tzolkin=cd.tzolkin, haab=cd.haab, kawil=(588, 1))
-        hits = resolve(expr, (0, 2 * 10**6))
+        hits = resolution(expr, (0, 2 * 10**6)).days
         assert 1708200 in hits
         # Kawil narrows the 18980-day recurrence to the 1195740-day one.
         assert all(b - a == 1195740 for a, b in zip(hits, hits[1:]))
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            resolve(parse("4 Ahau 8 Cumku"), (-1, 10))
+            resolution(parse("4 Ahau 8 Cumku"), (-1, 10))
         with pytest.raises(ValueError):
-            resolve(parse("4 Ahau 8 Cumku"), (10, 5))
+            resolution(parse("4 Ahau 8 Cumku"), (10, 5))
 
 
 def test_round_trip_sampled():
@@ -230,7 +236,7 @@ def test_resolution_consistency_sampled():
         day = rng.randrange(0, 1872001)
         expr = parse(format_date(expression_from_day(day)))
         lo = max(0, day - 10000)
-        assert resolve(expr, (lo, day + 10000)) == [day]
+        assert resolution(expr, (lo, day + 10000)).days == (day,)
 
 
 @given(st.integers(min_value=0, max_value=10 * 1872000))
