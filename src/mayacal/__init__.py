@@ -30,7 +30,6 @@ from .cycles import (
     HaabDate,
     LongCount,
     TzolkinDate,
-    calendar_round_day,
     cycle_date,
     haab_from_pos,
     long_count_from_day,

@@ -234,6 +234,27 @@ def lcm_many(values: list[int] | tuple[int, ...]) -> int:
     return lcm_factorization(values).value
 
 
+def crt(congruences: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> tuple[int, int] | None:
+    """Joint solution ``(base, period)`` of ``x = residue (mod modulus)`` over the pairs.
+
+    The solutions are ``base + k * period``, ``0 <= base < period``, with
+    ``period`` the LCM of the moduli, which may share a factor; ``None`` when
+    the congruences conflict, ``(0, 1)`` for none.
+    """
+    base, period = 0, 1
+    for residue, modulus in congruences:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        g = math.gcd(period, modulus)
+        diff = residue - base
+        if diff % g:
+            return None
+        step = modulus // g
+        base += period * (diff // g * pow(period // g, -1, step) % step)
+        period *= step
+    return base, period
+
+
 def round_nearest(r: Fraction | int) -> int:
     """Nearest integer to ``r``; exact halves round away from zero."""
     f = Fraction(r)

@@ -1,14 +1,31 @@
-"""Structured pass/fail checks shared by the verification suites and the CLI."""
+"""Structured pass/fail checks and JSON-ready values, shared by the verification suites and the CLI."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
 
+@dataclass(frozen=True)
+class Rows:
+    """A list rendered lazily: ``row(key)`` for each of ``keys``, never held in memory whole."""
+
+    row: Callable[[Any], dict]
+    keys: Sequence
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Any]:
+        return (jsonable(self.row(key)) for key in self.keys)
+
+
 def jsonable(value: Any) -> Any:
     """Render exact values losslessly for machine output (Fractions as 'n/d')."""
+    if isinstance(value, Rows):
+        return value  # each row is made jsonable as it is read
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if isinstance(value, (list, tuple)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import INT63_MAX, decimal_str, factorize, round_nearest
-from .checks import Check, jsonable
+from .checks import Check, Rows, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe
 from .cycles import ERA, cycle_date
 from .lunar import (
@@ -111,7 +111,7 @@ class OutputEnvelope:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False)
+        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False, default=list)
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}", f"status: {self.status}"]
@@ -136,13 +136,12 @@ def _text_lines(value, indent: int = 0) -> list[str]:
         if isinstance(item, dict):
             lines.append(f"{pad}{key}:")
             lines += _text_lines(item, indent + 1)
-        elif isinstance(item, list) and item and all(isinstance(i, dict) for i in item):
+        elif item and (isinstance(item, Rows) or isinstance(item, list) and all(isinstance(i, dict) for i in item)):
             lines.append(f"{pad}{key}:")
-            for entry in item:
-                block = _text_lines(entry, indent + 2)
-                lines.append(f"{'  ' * (indent + 1)}- {block[0].lstrip()}")
-                lines += block[1:]
-        elif isinstance(item, list):
+            for entry in item:  # one string per entry keeps a long list compact
+                first, *rest = _text_lines(entry, indent + 2)
+                lines.append("\n".join([f"{'  ' * (indent + 1)}- {first.lstrip()}", *rest]))
+        elif isinstance(item, (list, Rows)):
             rendered = ", ".join(str(i) for i in item)
             lines.append(f"{pad}{key}: [{rendered}]")
         else:
@@ -195,7 +194,7 @@ def _match_summary(day: int, constant: CorrelationConstant) -> dict:
 
 def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.lstrip("-").isdigit() or not hi.lstrip("-").isdigit():
+    if not sep or not lo.lstrip("-").isdecimal() or not hi.lstrip("-").isdecimal():
         raise UsageError(f"window must be LO..HI, got {text!r}")
     window = (int(lo), int(hi))
     if not 0 <= window[0] <= window[1]:
@@ -214,12 +213,10 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     expr = parse(args.date)
     if expr.long_count is not None:
         day = expr.long_count.days
-        found = resolution(expr, (day, day))
-        if found.inconsistent:
-            actual = cycle_date(day)
+        if resolution(expr, (day, day)).inconsistent:
             return OutputEnvelope.error(
                 "convert",
-                f"inconsistent date: {expr.long_count} is {actual.calendar_round}",
+                f"inconsistent date: {expr.long_count} is {cycle_date(day).calendar_round}",
                 input=args.date,
                 day=day,
             )
@@ -234,7 +231,7 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
         "input": args.date,
         "window": f"{window[0]}..{window[1]}",
         "count": len(found.days),
-        "matches": [_match_summary(d, constant) for d in found.days],
+        "matches": Rows(lambda d: _match_summary(d, constant), found.days),
     }
     return OutputEnvelope.result("convert", payload)
 
@@ -326,7 +323,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 def _parse_day_arg(text: str, flag: str) -> int:
     """A day number given as an integer or a Long Count string."""
-    if text.lstrip("-").isdigit():
+    if text.lstrip("-").isdecimal():
         day = int(text)
         if day < 0:
             raise UsageError(f"{flag} must be non-negative, got {day}")
@@ -335,14 +332,14 @@ def _parse_day_arg(text: str, flag: str) -> int:
     if expr.long_count is None:
         raise UsageError(f"{flag} needs a day number or a Long Count date, got {text!r}")
     day = expr.long_count.days
-    if not expr.matches(cycle_date(day)):
+    if resolution(expr, (day, day)).inconsistent:
         raise UsageError(f"{flag}: {text!r} is not self-consistent")
     return day
 
 
 def _parse_ratio(text: str) -> Fraction:
     num, sep, den = text.partition("/")
-    if not sep or not num.isdigit() or not den.isdigit() or int(den) == 0 or int(num) == 0:
+    if not sep or not num.isdecimal() or not den.isdecimal() or int(den) == 0 or int(num) == 0:
         raise UsageError(f"ratio must be DAYS/LUNATIONS with positive integers, got {text!r}")
     return Fraction(int(num), int(den))
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import crt
+
 TZOLKIN_NAMES = (
     "Imix", "Ik", "Akbal", "Kan", "Chicchan", "Cimi", "Manik", "Lamat",
     "Muluc", "Oc", "Chuen", "Eb", "Ben", "Ix", "Men", "Cib", "Caban",
@@ -74,12 +76,8 @@ class TzolkinDate:
 
     @property
     def ordinal(self) -> int:
-        """Zero-based place in the ordered list 1 Imix .. 13 Ahau.
-
-        Unique by CRT since gcd(13, 20) = 1: 40 = 20*2 is 1 mod 13 and
-        221 = 13*17 is 1 mod 20.
-        """
-        return (40 * (self.number - 1) + 221 * self.name_index) % TZOLKIN_DAYS
+        """Zero-based place in the ordered list 1 Imix .. 13 Ahau, unique as gcd(13, 20) = 1."""
+        return crt(((self.number - 1, 13), (self.name_index, 20)))[0]
 
     @property
     def position(self) -> int:
@@ -234,19 +232,3 @@ def cycle_date(day: int) -> CycleDate:
         long_count=long_count_from_day(day),
     )
 
-
-def calendar_round_day(tzolkin: TzolkinDate, haab: HaabDate) -> int | None:
-    """Day offset in 0..18979 matching both positions, or None if unreachable.
-
-    Only 18980 of the 260*365 position pairs occur (gcd(260, 365) = 5): the
-    two residues of the day must agree mod 5.
-    """
-    a = (tzolkin.position - TZOLKIN_EPOCH) % TZOLKIN_DAYS
-    b = (haab.position - HAAB_EPOCH) % HAAB_DAYS
-    g = 5  # gcd(260, 365)
-    if (a - b) % g != 0:
-        return None
-    # CRT for non-coprime moduli: step the 260-residue into the 365 lattice.
-    step = (b - a) // g % (HAAB_DAYS // g)
-    k = step * pow(TZOLKIN_DAYS // g, -1, HAAB_DAYS // g) % (HAAB_DAYS // g)
-    return a + TZOLKIN_DAYS * k

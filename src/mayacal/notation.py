@@ -4,13 +4,14 @@ Grammar (whitespace-tolerant, names case-insensitive):
 
     long count      ::= B.K.T.W.I            five dot-separated integers;
                                              the leading digit may be written
-                                             "13(0)", era completion = baktun 13
+                                             "13(0)", era completion = baktun 13,
+                                             or "k×13(0)" with k >= 2 = baktun 13k
     calendar round  ::= <1..13> <tzolkin-name> <0..19> <haab-month>
     combined        ::= long count calendar round
 
-Parse errors carry the byte offset of the offending token.  The "13(0)"
-parenthetical is display sugar for era completion; the parsed value is
-baktun 13.  Any other parenthetical is an error.
+Parse errors carry the byte offset of the offending token.  "13(0)" and
+"k×13(0)" are the era-completion sugar that :func:`era_display` prints; any
+other parenthetical or multiplier, or an ASCII "x", is an error.
 """
 
 from __future__ import annotations
@@ -18,22 +19,28 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .arith import crt
 from .cycles import (
     ERA,
+    HAAB_DAYS,
+    HAAB_EPOCH,
     HAAB_MONTHS,
+    KAWIL_CYCLE,
+    KAWIL_DAYS,
+    KAWIL_EPOCH,
+    TZOLKIN_DAYS,
+    TZOLKIN_EPOCH,
     TZOLKIN_NAMES,
-    CycleDate,
     HaabDate,
     LongCount,
     TzolkinDate,
-    calendar_round_day,
     cycle_date,
 )
 
 _TZOLKIN_BY_NAME = {name.lower(): i for i, name in enumerate(TZOLKIN_NAMES)}
 _HAAB_BY_NAME = {name.lower(): i for i, name in enumerate(HAAB_MONTHS)}
 
-_LEADING_DIGIT = re.compile(r"(\d+)(?:\((\d+)\))?$")
+_LEADING_DIGIT = re.compile(r"(?:(\d+)×)?(\d+)(\(\d+\))?$")
 
 
 class DateParseError(ValueError):
@@ -67,25 +74,13 @@ class DateExpression:
             if not 0 <= color <= 3:
                 raise ValueError(f"direction-color must be 0..3, got {color}")
 
-    def matches(self, cd: CycleDate) -> bool:
-        """Whether every present component agrees with the given day."""
-        if self.long_count is not None and self.long_count != cd.long_count:
-            return False
-        if self.tzolkin is not None and self.tzolkin != cd.tzolkin:
-            return False
-        if self.haab is not None and self.haab != cd.haab:
-            return False
-        if self.kawil is not None and self.kawil != (cd.kawil, cd.direction_color):
-            return False
-        return True
-
 
 @dataclass(frozen=True)
 class Resolution:
     """Days in a window matching an expression, with the inconsistency verdict."""
 
-    days: tuple[int, ...]
-    inconsistent: bool  # Long Count resolved but another component disagreed
+    days: range
+    inconsistent: bool  # Long Count in the window but another component disagreed
 
 
 def expression_from_day(day: int) -> DateExpression:
@@ -108,11 +103,14 @@ def _parse_long_count(word: str, offset: int) -> LongCount:
     lead = _LEADING_DIGIT.match(parts[0])
     if lead is None:
         raise DateParseError(f"bad long count digit {parts[0]!r}", positions[0])
-    if lead.group(2) is not None and lead.group(0) != "13(0)":
+    multiple, baktun, era = lead.groups()
+    if era is not None and baktun + era != "13(0)":
         raise DateParseError(f"only 13(0) marks an era completion, got {parts[0]!r}", positions[0])
-    digits = [int(lead.group(1))]
+    if multiple is not None and (era is None or int(multiple) < 2):
+        raise DateParseError(f"an era multiple is k×13(0) with k >= 2, got {parts[0]!r}", positions[0])
+    digits = [int(baktun) * int(multiple or 1)]
     for part, at in zip(parts[1:], positions[1:]):
-        if not part.isdigit():
+        if not part.isdecimal():
             raise DateParseError(f"bad long count digit {part!r}", at)
         digits.append(int(part))
     baktun, katun, tun, winal, kin = digits
@@ -137,7 +135,7 @@ def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple
     if len(tokens) > 4:
         raise DateParseError(f"unexpected trailing text {tokens[4][0]!r}", tokens[4][1])
 
-    if not num_tok.isdigit():
+    if not num_tok.isdecimal():
         raise DateParseError(f"bad Tzolk'in number {num_tok!r}", num_at)
     number = int(num_tok)
     if not 1 <= number <= 13:
@@ -146,7 +144,7 @@ def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple
     if tz_index is None:
         raise DateParseError(f"unknown Tzolk'in day name {tz_tok!r}", tz_at)
 
-    if not day_tok.isdigit():
+    if not day_tok.isdecimal():
         raise DateParseError(f"bad Haab' day {day_tok!r}", day_at)
     day = int(day_tok)
     month_index = _HAAB_BY_NAME.get(month_tok.lower())
@@ -184,7 +182,7 @@ def era_display(day: int) -> str:
 
     Day 0 and day 1872000 are both written "13(0).0.0.0.0" (creation is the
     completion of the previous era); larger multiples carry a multiplier,
-    e.g. "365x13(0).0.0.0.0" for the 5 Aeon.
+    e.g. "365×13(0).0.0.0.0" for the 5 Aeon, which :func:`parse` reads back.
     """
     if day % ERA != 0:
         raise ValueError(f"{day} is not a multiple of the {ERA}-day era")
@@ -210,47 +208,31 @@ def format_date(expr: DateExpression, style: str = "plain") -> str:
     return " ".join(parts)
 
 
-def _first_hit(base: int, period: int, lo: int) -> int:
-    """Smallest day >= lo congruent to base mod period."""
-    if lo <= base:
-        return base
-    return lo + (base - lo) % period
-
-
 def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
-    """All days in the inclusive window matching every present component."""
+    """All days in the inclusive window matching every present component.
+
+    Each cycle is one congruence on the day, joined by :func:`crt`; a Long
+    Count narrows the window to its own day.
+    """
     lo, hi = window
     if not 0 <= lo <= hi:
         raise ValueError(f"window must satisfy 0 <= lo <= hi, got {window}")
 
+    congruences = []
+    if expr.tzolkin is not None:
+        congruences.append((expr.tzolkin.position - TZOLKIN_EPOCH, TZOLKIN_DAYS))
+    if expr.haab is not None:
+        congruences.append((expr.haab.position - HAAB_EPOCH, HAAB_DAYS))
+    if expr.kawil is not None:
+        count, color = expr.kawil
+        congruences.append((KAWIL_DAYS * color + count - KAWIL_EPOCH, KAWIL_CYCLE))
     if expr.long_count is not None:
         day = expr.long_count.days
-        if not lo <= day <= hi:
-            return Resolution(days=(), inconsistent=False)
-        if expr.matches(cycle_date(day)):
-            return Resolution(days=(day,), inconsistent=False)
-        return Resolution(days=(), inconsistent=True)
+        lo, hi = max(lo, day), min(hi, day)  # lo > hi when the day is outside
 
-    if expr.tzolkin is not None and expr.haab is not None:
-        base = calendar_round_day(expr.tzolkin, expr.haab)
-        if base is None:
-            return Resolution(days=(), inconsistent=False)
-        period = 18980
-    elif expr.tzolkin is not None:
-        base = (expr.tzolkin.position - 160) % 260
-        period = 260
-    elif expr.haab is not None:
-        base = (expr.haab.position - 349) % 365
-        period = 365
-    else:
-        count, color = expr.kawil  # type: ignore[misc]  # post-init guarantees presence
-        base = (819 * color + count - 3) % 3276
-        period = 3276
-
-    hits = []
-    day = _first_hit(base, period, lo)
-    while day <= hi:
-        if expr.matches(cycle_date(day)):
-            hits.append(day)
-        day += period
-    return Resolution(days=tuple(hits), inconsistent=False)
+    solved = crt(congruences)
+    days = range(0)
+    if solved is not None:
+        base, period = solved
+        days = range(lo + (base - lo) % period, hi + 1, period)
+    return Resolution(days=days, inconsistent=expr.long_count is not None and lo <= hi and not days)

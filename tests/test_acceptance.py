@@ -186,7 +186,7 @@ def test_criterion_12_property_suites():
     for _ in range(200):
         d = rng.randrange(0, 1872001)
         expr = expression_from_day(d)
-        ok = ok and resolution(expr, (max(0, d - 9000), d + 9000)).days == (d,)
+        ok = ok and tuple(resolution(expr, (max(0, d - 9000), d + 9000)).days) == (d,)
 
     for _ in range(10**4):
         jdn = rng.randrange(0, 3 * 10**6 + 1)

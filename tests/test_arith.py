@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mayacal.arith import (
     INT63_MAX,
     Factorization,
+    crt,
     decimal_str,
     factorize,
     is_prime,
@@ -33,6 +34,14 @@ def pairwise_lcm(values):
     for v in values:
         out = out * v // math.gcd(out, v)
     return out
+
+
+def brute_crt(congruences):
+    # Oracle: scan one joint period for the days meeting every congruence.
+    period = pairwise_lcm([m for _, m in congruences])
+    hits = [x for x in range(period) if all((x - r) % m == 0 for r, m in congruences)]
+    assert len(hits) <= 1
+    return (hits[0], period) if hits else None
 
 
 def trial_is_prime(n):
@@ -210,6 +219,37 @@ class TestLcm:
             lcm_many([2**62, 3**39])
 
 
+class TestCrt:
+    def test_no_congruences(self):
+        assert crt([]) == (0, 1)
+
+    def test_calendar_round_and_kawil(self):
+        # Creation residues: the paper's joint periods 18980 and X1 = 1195740.
+        assert crt([(0, 260), (0, 365)]) == (0, 18980)
+        assert crt([(0, 260), (0, 365), (0, 3276)]) == (0, 1195740)
+
+    def test_shared_factor_conflict(self):
+        # 260 and 365 share 5; residues 1 and 0 disagree mod 5.
+        assert crt([(1, 260), (0, 365)]) is None
+        assert brute_crt([(1, 260), (0, 365)]) is None
+
+    def test_residues_outside_modulus(self):
+        assert crt([(-1, 7), (15, 4)]) == brute_crt([(-1, 7), (15, 4)]) == (27, 28)
+
+    def test_bad_modulus_rejected(self):
+        with pytest.raises(ValueError):
+            crt([(0, 0)])
+        with pytest.raises(ValueError):
+            crt([(1, 5), (0, -3)])
+
+    def test_all_small_pairs(self):
+        for m1 in range(1, 11):
+            for m2 in range(1, 11):
+                for r1 in range(m1):
+                    for r2 in range(m2):
+                        assert crt([(r1, m1), (r2, m2)]) == brute_crt([(r1, m1), (r2, m2)])
+
+
 class TestEuclidDiv:
     def test_grand_cycle_division(self):
         # Dividend is the supernumber divided by 37, computed exactly.
@@ -283,6 +323,16 @@ def test_factorize_is_multiplicative(a, b):
     for prime, mult in factorize(b).factors:
         merged[prime] = merged.get(prime, 0) + mult
     assert factorize(a * b).as_dict() == merged
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=30)),
+        max_size=3,
+    )
+)
+def test_crt_matches_brute_force(congruences):
+    assert crt(congruences) == brute_crt(congruences)
 
 
 @given(st.permutations([116, 584, 365, 780, 399, 378, 177, 178, 148]))

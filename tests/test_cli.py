@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mayacal import cli
-from mayacal.checks import Check
+from mayacal.checks import Check, Rows
 from mayacal.cli import OutputEnvelope, main
+from mayacal.correlation import GMT_CORRELATION, CorrelationConstant
 from mayacal.lunar import search
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,6 +39,21 @@ class TestExitCodes:
         code, out = run("convert", "9.9.16.0")
         assert code == 2
         assert "status: error" in out
+
+    def test_non_decimal_digit_has_position(self, run):
+        for text, position in (("9.².16.0.0", 2), ("² Ahau 8 Cumku", 0)):
+            code, out = run("--format", "json", "convert", text)
+            assert code == 2
+            assert json.loads(out)["payload"]["position"] == position
+
+    def test_non_decimal_digit_in_flags(self, run):
+        code, out = run("convert", "4 Ahau 8 Cumku", "--window", "0..²")
+        assert code == 2 and "window must be LO..HI" in out
+        code, out = run("lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", "²/81")
+        assert code == 2 and "ratio must be DAYS/LUNATIONS" in out
+        code, out = run("--format", "json", "lunar", "age", "--lc", "²", "--lc0", "0")
+        assert code == 2
+        assert json.loads(out)["payload"]["position"] == 1
 
     def test_mismatch_exits_one(self, run, monkeypatch):
         failing = cli.OutputEnvelope.result(
@@ -81,6 +98,12 @@ class TestConvert:
         assert 1872000 in days
         assert payload["count"] == len(days) == 99
 
+    def test_era_multiple_as_displayed(self, run):
+        code, out = run("convert", "365×13(0).0.0.0.0")
+        assert code == 0
+        assert "day: 683280000" in out
+        assert "long_count_annotated: 365×13(0).0.0.0.0" in out
+
     def test_calendar_round_needs_window(self, run):
         code, out = run("convert", "4 Ahau 3 Kankin")
         assert code == 2
@@ -114,6 +137,26 @@ class TestConvert:
         assert code == 0
         assert "jdn: 2456285" in out
         assert "23 December 2012" in out
+
+
+class TestRows:
+    def test_rows_render_like_a_list(self):
+        rows = [{"day": d, "half": Fraction(d, 2), "pair": (d, d)} for d in range(3)]
+        lazy = OutputEnvelope.result("x", {"rows": Rows(rows.__getitem__, range(3)), "none": Rows(str, range(0))})
+        eager = OutputEnvelope.result("x", {"rows": rows, "none": []})
+        assert lazy.to_text() == eager.to_text()
+        assert lazy.to_json() == eager.to_json()
+
+    def test_window_matches_are_made_while_rendering(self, monkeypatch):
+        made = []
+        summary = cli._match_summary
+        monkeypatch.setattr(cli, "_match_summary", lambda d, c: made.append(d) or summary(d, c))
+        args = cli.build_parser().parse_args(["convert", "4 Ahau 8 Cumku", "--window", "0..40000"])
+        envelope = cli.cmd_convert(args, CorrelationConstant(jdn_at_creation=GMT_CORRELATION, label="GMT"))
+        assert envelope.payload["count"] == 3
+        assert made == []
+        assert "day: 37960" in envelope.to_text()
+        assert made == [0, 18980, 37960]
 
 
 class TestVerify:

@@ -11,23 +11,25 @@ from mayacal.cycles import (
     HaabDate,
     LongCount,
     TzolkinDate,
-    calendar_round_day,
     cycle_date,
     haab_from_pos,
     long_count_from_day,
     tzolkin_from_pos,
 )
+from mayacal.notation import DateExpression, resolution
 
 
-def brute_calendar_round_day(tzolkin, haab):
+def brute_calendar_round_days(tzolkin, haab):
     # Oracle: scan one full Calendar Round for the matching position pair.
-    hits = [
-        d
-        for d in range(CALENDAR_ROUND)
-        if (d + 160) % 260 == tzolkin.position and (d + 349) % 365 == haab.position
-    ]
+    positions = (tzolkin.position, haab.position)
+    hits = [d for d in range(CALENDAR_ROUND) if ((d + 160) % 260, (d + 349) % 365) == positions]
     assert len(hits) <= 1
-    return hits[0] if hits else None
+    return tuple(hits)
+
+
+def calendar_round_days(tzolkin, haab):
+    # The days of the first Calendar Round carrying both positions.
+    return tuple(resolution(DateExpression(tzolkin=tzolkin, haab=haab), (0, 18979)).days)
 
 
 class TestTzolkin:
@@ -163,24 +165,24 @@ class TestCycleDate:
 
 class TestCalendarRoundDay:
     def test_creation_pair(self):
-        assert calendar_round_day(TzolkinDate(4, 19), HaabDate(8, 17)) == 0
+        assert calendar_round_days(TzolkinDate(4, 19), HaabDate(8, 17)) == (0,)
 
     def test_zip_pair_matches_brute_force(self):
         t, h = TzolkinDate(4, 19), HaabDate(8, 2)
-        assert brute_calendar_round_day(t, h) == 14300
-        assert calendar_round_day(t, h) == 14300
+        assert brute_calendar_round_days(t, h) == (14300,)
+        assert calendar_round_days(t, h) == (14300,)
 
     def test_unreachable_pair(self):
         t, h = TzolkinDate(1, 0), HaabDate(1, 0)
-        assert brute_calendar_round_day(t, h) is None
-        assert calendar_round_day(t, h) is None
+        assert brute_calendar_round_days(t, h) == ()
+        assert calendar_round_days(t, h) == ()
 
     def test_agrees_with_brute_force_sample(self):
         rng = random.Random(7)
         for _ in range(40):
             t = TzolkinDate(rng.randint(1, 13), rng.randrange(20))
             h = HaabDate(rng.randrange(20) if (m := rng.randrange(19)) != 18 else rng.randrange(5), m)
-            assert calendar_round_day(t, h) == brute_calendar_round_day(t, h)
+            assert calendar_round_days(t, h) == brute_calendar_round_days(t, h)
 
     def test_reachable_count(self):
         # 5 of every 25 (number, day) residue pairs line up: 18980 reachable pairs.

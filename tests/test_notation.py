@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mayacal.cycles import HaabDate, LongCount, TzolkinDate, cycle_date
+from mayacal.cycles import ERA, HaabDate, LongCount, TzolkinDate, cycle_date
 from mayacal.notation import (
     DateExpression,
     DateParseError,
@@ -34,6 +34,26 @@ class TestParseLongCount:
             with pytest.raises(DateParseError) as exc:
                 parse(" " + bad)
             assert exc.value.position == 1
+
+    def test_era_multiple(self):
+        assert parse("365×13(0).0.0.0.0").long_count == LongCount(4745, 0, 0, 0, 0)
+        expr = parse("2×13(0).0.0.0.0 4 Ahau 18 Chen")
+        assert expr.long_count == LongCount(26, 0, 0, 0, 0)
+        assert tuple(resolution(expr, (0, 4 * ERA)).days) == (2 * ERA,)
+
+    def test_era_multiple_only_as_printed(self):
+        for bad in ("0×13(0).0.0.0.0", "1×13(0).0.0.0.0", "2x13(0).0.0.0.0", "2×13.0.0.0.0",
+                    "2×7(0).0.0.0.0", "2×13(5).0.0.0.0", "×13(0).0.0.0.0"):
+            with pytest.raises(DateParseError) as exc:
+                parse(" " + bad)
+            assert exc.value.position == 1
+
+    def test_non_decimal_digit(self):
+        # "²" passes str.isdigit() but not int(); it must fail with an offset.
+        for text, position in (("9.².16.0.0", 2), ("² Ahau 8 Cumku", 0), ("4 Ahau ² Cumku", 7)):
+            with pytest.raises(DateParseError) as exc:
+                parse(text)
+            assert exc.value.position == position
 
     def test_whitespace_tolerant(self):
         expr = parse("  9.9.16.0.0   4   Ahau   8   Cumku  ")
@@ -151,11 +171,11 @@ class TestFormat:
 class TestResolve:
     def test_creation_in_first_round(self):
         expr = parse("4 Ahau 8 Cumku")
-        assert resolution(expr, (0, 18979)).days == (0,)
+        assert tuple(resolution(expr, (0, 18979)).days) == (0,)
 
     def test_long_count_unique(self):
         expr = parse("11.17.5.0.0")
-        assert resolution(expr, (0, 2 * 10**6)).days == (1708200,)
+        assert tuple(resolution(expr, (0, 2 * 10**6)).days) == (1708200,)
 
     def test_calendar_round_recurrence(self):
         expr = parse("4 Ahau 8 Cumku")
@@ -170,39 +190,39 @@ class TestResolve:
 
     def test_window_excludes_base(self):
         expr = parse("4 Ahau 3 Kankin")
-        assert resolution(expr, (1860000, 1872000)).days == (1872000,)
+        assert tuple(resolution(expr, (1860000, 1872000)).days) == (1872000,)
 
     def test_unreachable_pair_is_empty(self):
         expr = parse("1 Imix 1 Pop")
-        assert resolution(expr, (0, 18979)).days == ()
+        assert tuple(resolution(expr, (0, 18979)).days) == ()
 
     def test_inconsistent_combined_flagged(self):
         expr = parse("13(0).0.0.0.0 4 Ahau 8 Cumku")  # era notation: baktun 13
         found = resolution(expr, (0, 2 * 10**6))
-        assert found.days == ()
+        assert tuple(found.days) == ()
         assert found.inconsistent
 
     def test_consistent_combined(self):
         expr = parse("13.0.0.0.0 4 Ahau 3 Kankin")
         found = resolution(expr, (0, 2 * 10**6))
-        assert found.days == (1872000,)
+        assert tuple(found.days) == (1872000,)
         assert not found.inconsistent
 
     def test_long_count_outside_window(self):
         expr = parse("9.9.16.0.0")
         found = resolution(expr, (0, 100))
-        assert found.days == ()
+        assert tuple(found.days) == ()
         assert not found.inconsistent
 
     def test_tzolkin_only(self):
         expr = DateExpression(tzolkin=TzolkinDate(4, 19))
         hits = resolution(expr, (0, 1000)).days
-        assert hits == (0, 260, 520, 780)
+        assert tuple(hits) == (0, 260, 520, 780)
 
     def test_kawil_only(self):
         expr = DateExpression(kawil=(3, 0))
         hits = resolution(expr, (0, 10000)).days
-        assert hits == (0, 3276, 6552, 9828)
+        assert tuple(hits) == (0, 3276, 6552, 9828)
         for day in hits:
             cd = cycle_date(day)
             assert (cd.kawil, cd.direction_color) == (3, 0)
@@ -214,6 +234,11 @@ class TestResolve:
         assert 1708200 in hits
         # Kawil narrows the 18980-day recurrence to the 1195740-day one.
         assert all(b - a == 1195740 for a, b in zip(hits, hits[1:]))
+
+    def test_wide_window_counted_by_arithmetic(self):
+        days = resolution(parse("4 Ahau 8 Cumku"), (0, 10**13)).days
+        assert len(days) == 10**13 // 18980 + 1
+        assert (days[1], days[-1]) == (18980, 10**13 - 10**13 % 18980)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
@@ -236,13 +261,70 @@ def test_resolution_consistency_sampled():
         day = rng.randrange(0, 1872001)
         expr = parse(format_date(expression_from_day(day)))
         lo = max(0, day - 10000)
-        assert resolution(expr, (lo, day + 10000)).days == (day,)
+        assert tuple(resolution(expr, (lo, day + 10000)).days) == (day,)
 
 
 @given(st.integers(min_value=0, max_value=10 * 1872000))
 def test_round_trip_property(day):
     expr = expression_from_day(day)
     assert parse(format_date(expr)) == expr
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=1, max_value=10 * ERA),
+        st.integers(min_value=1, max_value=511).map(lambda k: k * ERA),
+    )
+)
+def test_annotated_round_trip_resolves(day):
+    # Day 0 is excluded: its annotated form 13(0).0.0.0.0 reads as baktun 13.
+    text = format_date(expression_from_day(day), "annotated")
+    assert tuple(resolution(parse(text), (day, day)).days) == (day,)
+
+
+def brute_resolution(expr, lo, hi):
+    # Oracle: every day of the window whose cycle_date carries each present component.
+    days = []
+    for day in range(lo, hi + 1):
+        cd = cycle_date(day)
+        if (
+            expr.long_count in (None, cd.long_count)
+            and expr.tzolkin in (None, cd.tzolkin)
+            and expr.haab in (None, cd.haab)
+            and expr.kawil in (None, (cd.kawil, cd.direction_color))
+        ):
+            days.append(day)
+    return tuple(days)
+
+
+@st.composite
+def expressions_and_windows(draw):
+    # Each component is absent, taken from the anchor day, or from an unrelated day.
+    anchor = draw(st.integers(min_value=0, max_value=3 * 10**6))
+    sources = (None, cycle_date(anchor), cycle_date(draw(st.integers(min_value=0, max_value=3 * 10**6))))
+    lc, t, h, k = (draw(st.sampled_from(sources)) for _ in range(4))
+    if lc is t is h is k is None:
+        t = sources[1]
+    expr = DateExpression(
+        long_count=lc and lc.long_count,
+        tzolkin=t and t.tzolkin,
+        haab=h and h.haab,
+        kawil=k and (k.kawil, k.direction_color),
+    )
+    width = draw(st.integers(min_value=0, max_value=2 * 10**5))
+    lo = max(0, anchor - draw(st.integers(min_value=0, max_value=width + 100)))
+    return expr, (lo, lo + width)
+
+
+@settings(max_examples=25, deadline=None)
+@given(expressions_and_windows())
+def test_resolution_matches_brute_force(case):
+    expr, (lo, hi) = case
+    found = resolution(expr, (lo, hi))
+    expected = brute_resolution(expr, lo, hi)
+    assert tuple(found.days) == expected
+    given_day_in_window = expr.long_count is not None and lo <= expr.long_count.days <= hi
+    assert found.inconsistent == (given_day_in_window and not expected)
 
 
 @given(st.text(max_size=40))
