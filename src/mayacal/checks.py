@@ -8,15 +8,24 @@ from fractions import Fraction
 from typing import Any
 
 
-@dataclass(frozen=True)
-class Rows:
-    """A list rendered lazily: ``row(key)`` for each of ``keys``, never held in memory whole."""
+class Rows(list):
+    """A list made lazily: ``row(key)`` for each of ``keys``, never held in memory whole.
 
-    row: Callable[[Any], dict]
-    keys: Sequence
+    The list itself stays empty.  Iterating makes the rows, and truth asks
+    ``keys``.  ``json``'s pure-Python encoder, the one ``indent`` selects,
+    only tests ``not rows`` and iterates, so the rows stream through it.
+    There is no length: ``keys`` may be a range too long for ``len``.
+    """
+
+    def __init__(self, row: Callable[[Any], dict], keys: Sequence) -> None:
+        super().__init__()
+        self.row, self.keys = row, keys
+
+    def __bool__(self) -> bool:
+        return bool(self.keys)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        raise TypeError("Rows has no length; count its keys")
 
     def __iter__(self) -> Iterator[Any]:
         return (jsonable(self.row(key)) for key in self.keys)

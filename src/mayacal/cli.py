@@ -2,8 +2,12 @@
 
 Every command builds one :class:`OutputEnvelope`; the ``--format`` flag
 picks the rendering (text or JSON) of that same envelope, so the two views
-never diverge.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-parse error.
+never diverge.  A bad command line gets an envelope too, in the format that
+``--format`` or ``$MAYACAL_FORMAT`` asks for.  The envelope is written to
+stdout as it is made, so a window of millions of matches streams in bounded
+memory, and a call killed part-way leaves a truncated document.  Exit codes:
+0 success, 1 verification mismatch, 2 usage or parse error, 120 stdout
+closed by its reader (as in ``mayacal ... | head``).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,6 +50,17 @@ from .supernumber import (
 )
 
 FORMAT_ENV_VAR = "MAYACAL_FORMAT"
+FORMATS = ("text", "json")
+
+#: Exit code when stdout's reader has gone; the interpreter uses it too
+#: when flushing stdout fails at exit.
+BROKEN_PIPE_EXIT = 120
+
+#: Characters joined per write: each write is a syscall when stdout is
+#: unbuffered (``PYTHONUNBUFFERED``), and a bounded batch keeps memory flat.
+WRITE_BATCH = 1 << 16
+
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 #: The verify suites in paper order, each a function of the derived
 #: constants; ``verify all`` runs every one.
@@ -76,7 +92,18 @@ NAMED_DAYS = {
 
 
 class UsageError(Exception):
-    """Bad command input; exits 2."""
+    """Bad command input; exits 2.  ``command`` names the command line's (sub)command, if known."""
+
+    def __init__(self, message: str, command: str | None = None) -> None:
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would print usage and exit, so the error gets an envelope."""
+
+    def error(self, message: str):
+        raise UsageError(message, self.prog.partition(" ")[2] or self.prog)
 
 
 @dataclass
@@ -110,43 +137,47 @@ class OutputEnvelope:
             "checks": [c.as_dict() for c in self.checks],
         }
 
+    def render(self, fmt: str) -> Iterator[str]:
+        """The ``fmt`` rendering ("text" or "json") in pieces, each made as it is read."""
+        return _JSON.iterencode(self.to_dict()) if fmt == "json" else self._text_pieces()
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False, default=list)
+        return "".join(self.render("json"))
 
     def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"status: {self.status}"]
-        lines += _text_lines(jsonable(self.payload))
+        return "".join(self.render("text"))
+
+    def _text_pieces(self) -> Iterator[str]:
+        yield f"command: {self.command}\nstatus: {self.status}"
+        for line in _text_lines(jsonable(self.payload)):
+            yield "\n" + line
         if self.checks:
             failed = sum(1 for c in self.checks if not c.passed)
-            lines.append(f"checks: {len(self.checks) - failed} passed, {failed} failed")
+            yield f"\nchecks: {len(self.checks) - failed} passed, {failed} failed"
             for c in self.checks:
                 if c.passed:
-                    lines.append(f"  [ok] {c.name} = {jsonable(c.computed)}")
+                    yield f"\n  [ok] {c.name} = {jsonable(c.computed)}"
                 else:
-                    lines.append(
-                        f"  [FAIL] {c.name}: expected {jsonable(c.expected)}, got {jsonable(c.computed)}"
-                    )
-        return "\n".join(lines)
+                    yield f"\n  [FAIL] {c.name}: expected {jsonable(c.expected)}, got {jsonable(c.computed)}"
 
 
-def _text_lines(value, indent: int = 0) -> list[str]:
+def _text_lines(value: dict, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
-    lines: list[str] = []
     for key, item in value.items():
         if isinstance(item, dict):
-            lines.append(f"{pad}{key}:")
-            lines += _text_lines(item, indent + 1)
+            yield f"{pad}{key}:"
+            yield from _text_lines(item, indent + 1)
         elif item and (isinstance(item, Rows) or isinstance(item, list) and all(isinstance(i, dict) for i in item)):
-            lines.append(f"{pad}{key}:")
-            for entry in item:  # one string per entry keeps a long list compact
+            yield f"{pad}{key}:"
+            for entry in item:
                 first, *rest = _text_lines(entry, indent + 2)
-                lines.append("\n".join([f"{'  ' * (indent + 1)}- {first.lstrip()}", *rest]))
-        elif isinstance(item, (list, Rows)):
+                yield f"{'  ' * (indent + 1)}- {first.lstrip()}"
+                yield from rest
+        elif isinstance(item, list):
             rendered = ", ".join(str(i) for i in item)
-            lines.append(f"{pad}{key}: [{rendered}]")
+            yield f"{pad}{key}: [{rendered}]"
         else:
-            lines.append(f"{pad}{key}: {item}")
-    return lines
+            yield f"{pad}{key}: {item}"
 
 
 def _describe_day(day: int, constant: CorrelationConstant) -> dict:
@@ -226,12 +257,12 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     if args.window is None:
         raise UsageError("calendar-round dates recur every 18980 days; give --window LO..HI")
     window = _parse_window(args.window)
-    found = resolution(expr, window)
+    days = resolution(expr, window).days
     payload = {
         "input": args.date,
         "window": f"{window[0]}..{window[1]}",
-        "count": len(found.days),
-        "matches": Rows(lambda d: _match_summary(d, constant), found.days),
+        "count": (days[-1] - days[0]) // days.step + 1 if days else 0,  # len() stops at 2^63
+        "matches": Rows(lambda d: _match_summary(d, constant), days),
     }
     return OutputEnvelope.result("convert", payload)
 
@@ -379,7 +410,7 @@ def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mayacal",
         description="Exact arithmetic for the Maya calendar: cycle conversions, "
         "super-number identities, lunar ratios, and civil-date correlation.",
@@ -426,7 +457,7 @@ def _output_flags(parser: argparse.ArgumentParser, top: bool = False) -> None:
     default = None if top else argparse.SUPPRESS
     parser.add_argument(
         "--format",
-        choices=("text", "json"),
+        choices=FORMATS,
         default=default,
         help=f"output rendering (default text; ${FORMAT_ENV_VAR} overrides)",
     )
@@ -448,14 +479,50 @@ HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _output_format(asked: str | None) -> str:
+    fmt = asked if asked in FORMATS else os.environ.get(FORMAT_ENV_VAR)
+    return fmt if fmt in FORMATS else "text"
 
-    fmt = args.format
-    if fmt is None:
-        env = os.environ.get(FORMAT_ENV_VAR, "")
-        fmt = env if env in ("text", "json") else "text"
+
+def _asked_format(argv: list[str]) -> str | None:
+    """The ``--format`` value of a command line that failed to parse as a whole."""
+    parser = _Parser(add_help=False)
+    parser.add_argument("--format")
+    try:
+        return parser.parse_known_args(argv)[0].format
+    except UsageError:
+        return None
+
+
+def _emit(envelope: OutputEnvelope, fmt: str) -> int:
+    """Write the envelope to stdout in batches as it renders; return the exit code."""
+    out, batch, size = sys.stdout, [], 0
+    try:
+        for piece in envelope.render(fmt):
+            batch.append(piece)
+            size += len(piece)
+            if size >= WRITE_BATCH:
+                out.write("".join(batch))
+                batch, size = [], 0
+        batch.append("\n")
+        out.write("".join(batch))
+        out.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # interpreter exit does not fail again (the recipe in the ``signal``
+        # module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return BROKEN_PIPE_EXIT
+    return envelope.exit_code
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        return _emit(OutputEnvelope.error(exc.command, str(exc)), _output_format(_asked_format(argv)))
+
     correlation = args.correlation if args.correlation is not None else GMT_CORRELATION
     label = "GMT" if correlation == GMT_CORRELATION else "custom"
 
@@ -466,9 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)
     except (UsageError, ValueError, OverflowError) as exc:
         envelope = OutputEnvelope.error(args.command, str(exc))
-
-    print(envelope.to_json() if fmt == "json" else envelope.to_text())
-    return envelope.exit_code
+    return _emit(envelope, _output_format(args.format))
 
 
 if __name__ == "__main__":

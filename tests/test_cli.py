@@ -1,18 +1,52 @@
+import contextlib
+import io
 import json
+import os
+import select
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mayacal import cli
 from mayacal.checks import Check, Rows
 from mayacal.cli import OutputEnvelope, main
 from mayacal.correlation import GMT_CORRELATION, CorrelationConstant
+from mayacal.cycles import cycle_date
 from mayacal.lunar import search
 
 GOLDEN = Path(__file__).parent / "golden"
+GMT = CorrelationConstant(jdn_at_creation=GMT_CORRELATION, label="GMT")
+CALENDAR_ROUND = 18980
+CREATION_CR = "4 Ahau 8 Cumku"  # day 0's Calendar Round, so its matches are the multiples of 18980
+
+
+class Full(Exception):
+    """Raised by a :class:`Sink` that has taken its limit."""
+
+
+class Sink:
+    """A stdout that counts what it is written, keeps the first 4096 characters,
+    and raises :class:`Full` once it has taken ``limit`` characters."""
+
+    def __init__(self, limit: float = float("inf")) -> None:
+        self.head, self.size, self.limit = "", 0, limit
+
+    def write(self, text: str) -> int:
+        if len(self.head) < 4096:
+            self.head = (self.head + text)[:4096]
+        self.size += len(text)
+        if self.size >= self.limit:
+            raise Full
+        return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 @pytest.fixture
@@ -30,10 +64,34 @@ class TestExitCodes:
         code, _ = run("verify", "eq1")
         assert code == 0
 
-    def test_usage_error_from_argparse(self, run):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,command",
+        [(["frobnicate"], "mayacal"), (["verify", "eq9"], "verify"), (["convert", "--day", "x"], "convert")],
+        ids=["frobnicate", "verify-eq9", "day-x"],
+    )
+    def test_usage_error_from_argparse(self, capsys, monkeypatch, fmt, argv, command):
+        for asked_by in ("flag", "env"):
+            if asked_by == "flag":
+                monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+                code = main(["--format", fmt, *argv])
+            else:
+                monkeypatch.setenv(cli.FORMAT_ENV_VAR, fmt)
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert (code, err) == (2, ""), asked_by
+            if fmt == "json":
+                data = json.loads(out)
+                assert (data["command"], data["status"]) == (command, "error")
+                assert data["payload"]["error"].startswith("argument ")
+            else:
+                assert out.startswith(f"command: {command}\nstatus: error\nerror: argument "), asked_by
+
+    def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            run("no-such-command")
-        assert exc.value.code == 2
+            main(["--format", "json", "verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mayacal verify")
 
     def test_parse_error(self, run):
         code, out = run("convert", "9.9.16.0")
@@ -158,6 +216,81 @@ class TestRows:
         assert "day: 37960" in envelope.to_text()
         assert made == [0, 18980, 37960]
 
+    @settings(max_examples=25, deadline=None)
+    @given(day=st.integers(0, CALENDAR_ROUND - 1), lo=st.integers(0, 10**9), width=st.integers(0, 10**7))
+    def test_streamed_output_is_the_materialised_rendering(self, day, lo, width):
+        argv = ["convert", cycle_date(day).calendar_round, "--window", f"{lo}..{lo + width}"]
+        streamed = {}
+        for fmt in ("json", "text"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["--format", fmt, *argv]) == 0
+            streamed[fmt] = out.getvalue()
+        envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), GMT)
+        payload = {**envelope.payload, "matches": list(envelope.payload["matches"])}
+        assert payload["count"] == len(payload["matches"])
+        materialised = {**envelope.to_dict(), "payload": payload}
+        assert streamed["json"] == json.dumps(materialised, indent=2, ensure_ascii=False) + "\n"
+        assert streamed["text"] == OutputEnvelope.result("convert", payload).to_text() + "\n"
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_wide_window_renders_in_bounded_memory(self, monkeypatch, fmt):
+        rows = 200_000
+        # The cheapest row, so that the test measures rendering rather than the
+        # calendar: tracemalloc makes every allocation several times slower.
+        monkeypatch.setattr(cli, "_match_summary", lambda d, c: {"day": d})
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["--format", fmt, "convert", CREATION_CR, "--window", f"0..{CALENDAR_ROUND * (rows - 1)}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.size > rows * 16
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB traced while rendering {sink.size} characters"
+
+    def test_json_window_too_wide_to_hold_streams(self, monkeypatch):
+        # 5.3e9 matches: the JSON document (about 1.4 TB) could never be held in memory.
+        sink = Sink(limit=2**20)
+        monkeypatch.setattr(sys, "stdout", sink)
+        with pytest.raises(Full):
+            main(["--format", "json", "convert", CREATION_CR, "--window", f"0..{10**14}"])
+        assert sink.head.startswith('{\n  "command": "convert",\n  "status": "ok",')
+        assert f'"count": {10**14 // CALENDAR_ROUND + 1},' in sink.head
+
+    def test_exact_count_past_2_63_days(self, monkeypatch):
+        hi = 10**30
+        count = hi // CALENDAR_ROUND + 1  # days 0, 18980, ..., the last multiple of 18980 <= hi
+        assert count > 2**63
+        sink = Sink(limit=100_000)
+        monkeypatch.setattr(sys, "stdout", sink)
+        with pytest.raises(Full):
+            main(["convert", CREATION_CR, "--window", f"0..{hi}"])
+        assert f"\ncount: {count}\nmatches:\n  - day: 0\n" in sink.head
+        assert "\n  - day: 18980\n" in sink.head
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mayacal", "convert", CREATION_CR, "--window", f"0..{10**13}"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0], "no output within 30 s"
+            head = os.read(proc.stdout.fileno(), 1000)
+            proc.stdout.close()  # as `| head -c 1000` does
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()  # a writer that never sees the closed pipe would run on
+        assert head.startswith(b"command: convert\nstatus: ok\n")
+        assert (proc.returncode, err) == (cli.BROKEN_PIPE_EXIT, b"")
+
 
 class TestVerify:
     def test_all_scopes_pass(self, run):
@@ -185,11 +318,6 @@ class TestVerify:
             calls.clear()
             code, _ = run(*argv)
             assert (code, len(calls)) == (0, 1), argv
-
-    def test_unknown_scope(self, run):
-        with pytest.raises(SystemExit) as exc:
-            run("verify", "eq9")
-        assert exc.value.code == 2
 
 
 class TestLunar:
