@@ -41,7 +41,7 @@ def main():
             f"  eps={decimal_str(c.error, 4):>8}  LCM260={c.lcm260:>7}  {' '.join(flags)}"
         )
 
-    print(f"\nscanned {result.scanned}, kept {len(result.filtered)}")
+    print(f"\nscanned {args.max}, kept {len(result.filtered)}")
     print("zero-error:", ", ".join(c.ratio_str for c in result.zero_error))
     if best is not None:
         print(f"best nonzero: {best.ratio_str} = {decimal_str(best.ratio, 6)} (eps {decimal_str(best.error, 2)})")

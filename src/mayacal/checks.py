@@ -55,10 +55,6 @@ class Check:
     computed: Any
     passed: bool
 
-    @classmethod
-    def eq(cls, name: str, expected: Any, computed: Any) -> "Check":
-        return cls(name=name, expected=expected, computed=computed, passed=expected == computed)
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,
@@ -76,7 +72,7 @@ class Report:
     checks: list[Check] = field(default_factory=list)
 
     def check(self, name: str, expected: Any, computed: Any) -> Check:
-        c = Check.eq(name, expected, computed)
+        c = Check(name, expected, computed, expected == computed)
         self.checks.append(c)
         return c
 

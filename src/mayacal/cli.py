@@ -188,8 +188,8 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
         "long_count": str(cd.long_count),
         "tzolkin": str(cd.tzolkin),
         "haab": str(cd.haab),
-        "tzolkin_position": cd.tzolkin_pos,
-        "haab_position": cd.haab_pos,
+        "tzolkin_position": cd.tzolkin.position,
+        "haab_position": cd.haab.position,
         "kawil": cd.kawil,
         "direction_color": cd.direction_color,
         "direction_color_name": cd.direction_color_name,
@@ -225,7 +225,7 @@ def _match_summary(day: int, constant: CorrelationConstant) -> dict:
 
 def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.lstrip("-").isdecimal() or not hi.lstrip("-").isdecimal():
+    if not sep or not lo.removeprefix("-").isdecimal() or not hi.removeprefix("-").isdecimal():
         raise UsageError(f"window must be LO..HI, got {text!r}")
     window = (int(lo), int(hi))
     if not 0 <= window[0] <= window[1]:
@@ -324,7 +324,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
             "supernumber": n,
             "max_lunations": args.max,
             "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
-            "scanned": result.scanned,
+            "scanned": args.max,
             "within_calendar_round": len(result.filtered),
             "zero_error": [_candidate_row(c) for c in result.zero_error],
             "minimal_nonzero": [_candidate_row(c) for c in result.minimal_nonzero],
@@ -354,7 +354,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 def _parse_day_arg(text: str, flag: str) -> int:
     """A day number given as an integer or a Long Count string."""
-    if text.lstrip("-").isdecimal():
+    if text.removeprefix("-").isdecimal():
         day = int(text)
         if day < 0:
             raise UsageError(f"{flag} must be non-negative, got {day}")
@@ -524,10 +524,8 @@ def main(argv: list[str] | None = None) -> int:
         return _emit(OutputEnvelope.error(exc.command, str(exc)), _output_format(_asked_format(argv)))
 
     correlation = args.correlation if args.correlation is not None else GMT_CORRELATION
-    label = "GMT" if correlation == GMT_CORRELATION else "custom"
-
     try:
-        constant = CorrelationConstant(jdn_at_creation=correlation, label=label)
+        constant = CorrelationConstant(correlation)
         envelope = HANDLERS[args.command](args, constant)
     except DateParseError as exc:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)

@@ -35,7 +35,6 @@ class CorrelationConstant:
     """JDN assigned to day 0 of the count."""
 
     jdn_at_creation: int = GMT_CORRELATION
-    label: str = "GMT"
 
     def __post_init__(self) -> None:
         if self.jdn_at_creation <= 0:
@@ -127,8 +126,6 @@ def civil_to_jdn(date: CivilDate) -> int:
 class CorrelationReport:
     """A day rendered on both civil calendars so source ambiguity stays visible."""
 
-    day: int
-    constant: CorrelationConstant
     jdn: int
     julian: CivilDate
     gregorian: CivilDate
@@ -138,8 +135,6 @@ def describe(day: int, constant: CorrelationConstant = GMT) -> CorrelationReport
     """JDN plus Julian and proleptic-Gregorian dates of a day of the count."""
     jdn = to_jdn(day, constant)
     return CorrelationReport(
-        day=day,
-        constant=constant,
         jdn=jdn,
         julian=jdn_to_civil(jdn, "julian"),
         gregorian=jdn_to_civil(jdn, "gregorian"),

@@ -42,13 +42,16 @@ CALENDAR_ROUND = 18980  # LCM(260, 365) = 73 Tzolk'in = 52 Haab'
 KAWIL_DAYS = 819
 KAWIL_CYCLE = 4 * KAWIL_DAYS  # 3276, one full pass of the four direction-colors
 
-# Long Count place values: kin, winal, tun, katun, baktun.
-KIN = 1
+# Long Count place values: kin 1, winal, tun, katun, baktun.
 WINAL = 20
 TUN = 360
 KATUN = 7200
 BAKTUN = 144000
 ERA = 13 * BAKTUN  # 1872000-day Maya Era
+
+#: Long Count digits, most significant first, with their largest values;
+#: the baktun is unbounded.
+LONG_COUNT_DIGITS = (("baktun", None), ("katun", 19), ("tun", 19), ("winal", 17), ("kin", 19))
 
 # Epoch residues: creation day is Tzolk'in position 160, Haab' position 349,
 # Kawil count 3, direction-color East-Red.
@@ -137,13 +140,8 @@ class LongCount:
     kin: int
 
     def __post_init__(self) -> None:
-        for field_name, value, limit in (
-            ("baktun", self.baktun, None),
-            ("katun", self.katun, 19),
-            ("tun", self.tun, 19),
-            ("winal", self.winal, 17),
-            ("kin", self.kin, 19),
-        ):
+        digits = (self.baktun, self.katun, self.tun, self.winal, self.kin)
+        for (field_name, limit), value in zip(LONG_COUNT_DIGITS, digits):
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative, got {value}")
             if limit is not None and value > limit:
@@ -170,8 +168,6 @@ class CycleDate:
     day: int
     tzolkin: TzolkinDate
     haab: HaabDate
-    tzolkin_pos: int
-    haab_pos: int
     kawil: int
     direction_color: int
     long_count: LongCount
@@ -219,14 +215,10 @@ def cycle_date(day: int) -> CycleDate:
     """All cyclical positions of a day number (pre-creation days rejected)."""
     if day < 0:
         raise ValueError(f"day must be non-negative, got {day}")
-    tzolkin_pos = (day + TZOLKIN_EPOCH) % TZOLKIN_DAYS
-    haab_pos = (day + HAAB_EPOCH) % HAAB_DAYS
     return CycleDate(
         day=day,
-        tzolkin=tzolkin_from_pos(tzolkin_pos),
-        haab=haab_from_pos(haab_pos),
-        tzolkin_pos=tzolkin_pos,
-        haab_pos=haab_pos,
+        tzolkin=tzolkin_from_pos((day + TZOLKIN_EPOCH) % TZOLKIN_DAYS),
+        haab=haab_from_pos((day + HAAB_EPOCH) % HAAB_DAYS),
         kawil=(day + KAWIL_EPOCH) % KAWIL_DAYS,
         direction_color=((day + KAWIL_EPOCH) // KAWIL_DAYS) % 4,
         long_count=long_count_from_day(day),

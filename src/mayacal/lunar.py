@@ -114,7 +114,6 @@ class SearchResult:
     """Outcome of the lunation search i = 1..max."""
 
     candidates: tuple[LunarCandidate, ...]  # one per i, ordered by i, up to the first T0 >= one CR
-    scanned: int  # lunation counts i covered by the scan: max_lunations
     filtered: tuple[LunarCandidate, ...]  # LCM(260, T0) < one Calendar Round
     zero_error: tuple[LunarCandidate, ...]  # filtered, epsilon = 0
     minimal_nonzero: tuple[LunarCandidate, ...]  # filtered, smallest epsilon > 0
@@ -166,7 +165,6 @@ def search(
     )
     return SearchResult(
         candidates=tuple(candidates),
-        scanned=max_lunations,
         filtered=filtered,
         zero_error=zero,
         minimal_nonzero=minimal,

@@ -28,6 +28,7 @@ from .cycles import (
     KAWIL_CYCLE,
     KAWIL_DAYS,
     KAWIL_EPOCH,
+    LONG_COUNT_DIGITS,
     TZOLKIN_DAYS,
     TZOLKIN_EPOCH,
     TZOLKIN_NAMES,
@@ -113,16 +114,10 @@ def _parse_long_count(word: str, offset: int) -> LongCount:
         if not part.isdecimal():
             raise DateParseError(f"bad long count digit {part!r}", at)
         digits.append(int(part))
-    baktun, katun, tun, winal, kin = digits
-    for name, value, limit, at in (
-        ("katun", katun, 19, positions[1]),
-        ("tun", tun, 19, positions[2]),
-        ("winal", winal, 17, positions[3]),
-        ("kin", kin, 19, positions[4]),
-    ):
+    for (name, limit), value, at in zip(LONG_COUNT_DIGITS[1:], digits[1:], positions[1:]):
         if value > limit:
             raise DateParseError(f"{name} {value} out of range 0..{limit}", at)
-    return LongCount(baktun, katun, tun, winal, kin)
+    return LongCount(*digits)
 
 
 def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple[TzolkinDate, HaabDate]:
@@ -150,12 +145,11 @@ def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple
     month_index = _HAAB_BY_NAME.get(month_tok.lower())
     if month_index is None:
         raise DateParseError(f"unknown Haab' month name {month_tok!r}", month_at)
-    limit = 4 if month_index == 18 else 19
-    if day > limit:
-        raise DateParseError(
-            f"Haab' day {day} out of range 0..{limit} for {HAAB_MONTHS[month_index]}", day_at
-        )
-    return TzolkinDate(number, tz_index), HaabDate(day, month_index)
+    try:
+        haab = HaabDate(day, month_index)  # the day limit: 19, or 4 in the Uayeb
+    except ValueError as exc:
+        raise DateParseError(str(exc), day_at) from None
+    return TzolkinDate(number, tz_index), haab
 
 
 def parse(text: str) -> DateExpression:

@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Factorization, lcm_factorization, lcm_many
+from .arith import Factorization, crt, lcm_factorization, lcm_many
 from .checks import Report
 from .cycles import (
     CALENDAR_ROUND,
     ERA,
+    HAAB_DAYS,
+    HAAB_EPOCH,
     KAWIL_CYCLE,
     CycleDate,
     cycle_date,
@@ -50,38 +52,34 @@ CANONICAL_PERIODS = (116, 584, 365, 780, 399, 378, 177, 178, 148)
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Named cycle lengths derived from the canonical periods (all day counts)."""
+    """The cycle lengths derived from the canonical periods (all day counts).
+
+    Derived values only: the deciphered and attested numbers (``XULTUN``,
+    ``ERA``, ``LONG_ROUND``, ``CALENDAR_ROUND``, ``KAWIL_CYCLE``) are inputs
+    and stay module constants, read directly by the suites.
+    """
 
     n: int
     n_factors: Factorization
-    xultun: tuple[int, int, int, int]
     tun_haab_kawil: int  # LCM(360, 365, 3276)
     aeon: int  # 400 * X0
     grand_cycle: int  # 7 * aeon
-    era: int  # 13 baktun
-    long_round: int
-    calendar_round: int = CALENDAR_ROUND
-    kawil_cycle: int = KAWIL_CYCLE
 
 
 def derive_constants() -> DerivedConstants:
     """Derive every named cycle from the canonical periods.
 
     N is the LCM of the periods, kept with the merged factorization it came
-    from.  The Xultun numbers are deciphered constants, not recomputable
-    from the periods.
+    from.
     """
     factors = lcm_factorization(CANONICAL_PERIODS)
     x0 = lcm_many([260, 360, 365])
     return DerivedConstants(
         n=factors.value,
         n_factors=factors,
-        xultun=XULTUN,
         tun_haab_kawil=lcm_many([360, 365, KAWIL_CYCLE]),
         aeon=400 * x0,
         grand_cycle=7 * 400 * x0,
-        era=ERA,
-        long_round=LONG_ROUND,
     )
 
 
@@ -108,13 +106,13 @@ def verify_supernumber(c: DerivedConstants) -> Report:
 def verify_xultun(c: DerivedConstants) -> Report:
     """Xultun number ratios and their 56940-day common unit."""
     report = Report("Xultun numbers")
-    x0, x1 = c.xultun[:2]
-    report.check("X_i / 56940", [6, 21, 31, 43], [x // XULTUN_UNIT for x in c.xultun])
-    report.check("X_i divisible by 56940", [0, 0, 0, 0], [x % XULTUN_UNIT for x in c.xultun])
-    report.check("gcd of the X_i", XULTUN_UNIT, math.gcd(*c.xultun))
+    x0, x1 = XULTUN[:2]
+    report.check("X_i / 56940", [6, 21, 31, 43], [x // XULTUN_UNIT for x in XULTUN])
+    report.check("X_i divisible by 56940", [0, 0, 0, 0], [x % XULTUN_UNIT for x in XULTUN])
+    report.check("gcd of the X_i", XULTUN_UNIT, math.gcd(*XULTUN))
     report.check("56940 = LCM(365, 780)", XULTUN_UNIT, lcm_many([365, 780]))
     report.check("X0 = LCM(260, 360, 365)", x0, lcm_many([260, 360, 365]))
-    report.check("X0 = LR / 4", x0, c.long_round // 4)
+    report.check("X0 = LR / 4", x0, LONG_ROUND // 4)
     report.check("X1 = 365 * 3276", x1, 365 * KAWIL_CYCLE)
     report.check("Y = LCM(360, 365, 3276) = 7 * X0", c.tun_haab_kawil, 7 * x0)
     return report
@@ -134,7 +132,7 @@ def verify_grand_cycle_division(c: DerivedConstants) -> Report:
         n37,
         lcm_many(CANONICAL_PERIODS[:-1]),
     )
-    sum_x = sum(c.xultun)
+    sum_x = sum(XULTUN)
     q, r = divmod(n37, c.grand_cycle)
     report.check("N/37 = GC*q + r: q", 21699, q)
     report.check("N/37 = GC*q + r: r", 724618440, r)
@@ -152,7 +150,7 @@ def verify_aeon_division(c: DerivedConstants) -> Report:
     report = Report("division by the Aeon")
     report.check("37 divides N", 0, c.n % 37)
     n37 = c.n // 37
-    x0 = c.xultun[0]
+    x0 = XULTUN[0]
     q, r = divmod(n37, c.aeon)
     report.check("N/37 = A*q + r: q", 151898, q)
     report.check("N/37 = A*q + r: r", 41338440, r)
@@ -165,7 +163,7 @@ def verify_aeon_division(c: DerivedConstants) -> Report:
 def verify_aeon_identity(c: DerivedConstants) -> Report:
     """The 5-Aeon identity and the Era/grand-cycle relations around it."""
     report = Report("Aeon identity")
-    x0, x1, x2, x3 = c.xultun
+    x0, x1, x2, x3 = XULTUN
     five_a = 5 * c.aeon
     five_x0 = 5 * x0
     report.check("5A - 5X0 = 95 * 126 * 56940", five_a - five_x0, 95 * 126 * XULTUN_UNIT)
@@ -175,21 +173,21 @@ def verify_aeon_identity(c: DerivedConstants) -> Report:
         lcm_many([x1 + x2 + x3, x1 + 2 * x2 + x3]),
     )
     report.check("5A = 5X0 + 570 * X1", five_a, five_x0 + 570 * x1)
-    report.check("5A = 365 * Era", five_a, 365 * c.era)
+    report.check("5A = 365 * Era", five_a, 365 * ERA)
     report.check("5A = 12000 * 56940", five_a, 12000 * XULTUN_UNIT)
-    report.check("Era - 5X0", 163800, c.era - five_x0)
-    report.check("Era - 5X0 = 10 * LCM(260, 3276)", c.era - five_x0, 10 * lcm_many([260, KAWIL_CYCLE]))
+    report.check("Era - 5X0", 163800, ERA - five_x0)
+    report.check("Era - 5X0 = 10 * LCM(260, 3276)", ERA - five_x0, 10 * lcm_many([260, KAWIL_CYCLE]))
     report.check("A = LCM(260, 365, 144000)", c.aeon, lcm_many([260, 365, 144000]))
     report.check("A = 13 * 73 * 144000", c.aeon, 13 * 73 * 144000)
     report.check("A = 7200 * 18980", c.aeon, 7200 * CALENDAR_ROUND)
     # 37960 = LCM(260, 584) = 2 CR, the Venus commensuration with the Tzolk'in.
     report.check("A = 3600 * 37960", c.aeon, 3600 * lcm_many([260, 584]))
     report.check("A = 2400 * 56940", c.aeon, 2400 * XULTUN_UNIT)
-    report.check("A = 100 * LR", c.aeon, 100 * c.long_round)
+    report.check("A = 100 * LR", c.aeon, 100 * LONG_ROUND)
     report.check("GC = 7 * A", c.grand_cycle, 7 * c.aeon)
-    report.check("GC = 511 * Era", c.grand_cycle, 511 * c.era)
+    report.check("GC = 511 * Era", c.grand_cycle, 511 * ERA)
     report.check("GC = LCM(365, 3276, 144000)", c.grand_cycle, lcm_many([365, KAWIL_CYCLE, 144000]))
-    report.check("GC = LCM(260, 365, 3276, Era)", c.grand_cycle, lcm_many([260, 365, KAWIL_CYCLE, c.era]))
+    report.check("GC = LCM(260, 365, 3276, Era)", c.grand_cycle, lcm_many([260, 365, KAWIL_CYCLE, ERA]))
     return report
 
 
@@ -199,8 +197,9 @@ def creation_residues(c: DerivedConstants) -> Report:
     The residues of N/13/37/73 name the pair {160; 49}, i.e. 4 Ahau 8 Zip.
     Counting from that day, the first completion of a 13-Tun cycle (4680
     days) that lands back on a 4 Ahau day is 4 Ahau 8 Cumku, the pair
-    {160; 349} taken as day 0 of the Long Count.  The shift is found by
-    scan, not assumed.
+    {160; 349} taken as day 0 of the Long Count.  The shift is solved by
+    :func:`crt`, not assumed; it recurs every 341640 = X0 days, i.e.
+    LCM(4680, 365).
     """
     divisor = 13 * 37 * 73
     if c.n % divisor != 0:
@@ -223,13 +222,9 @@ def creation_residues(c: DerivedConstants) -> Report:
     report.check("anchor Tzolk'in", "4 Ahau", str(anchor_t))
     report.check("anchor Haab'", "8 Zip", str(anchor_h))
 
-    # Scan for the first 13-Tun completion after {160; 49} that returns to
-    # Tzolk'in 160 and reaches Haab' 349 (8 Cumku).
-    shift = 0
-    for d in range(4680, CALENDAR_ROUND + 1, 4680):
-        if (d + 160) % 260 == 160 and (d + 49) % 365 == 349:
-            shift = d
-            break
+    # A whole number of 13-Tun cycles (so Tzolk'in 160 again, as 260 | 4680)
+    # that moves Haab' 49 to 349 (8 Cumku).
+    shift, _ = crt(((0, 4680), (HAAB_EPOCH - 49, HAAB_DAYS)))
     shifted_h = haab_from_pos((shift + 49) % 365)
     report.check("13-Tun shift to 8 Cumku", 4680, shift)
     report.check("shifted Haab'", "8 Cumku", str(shifted_h))
@@ -252,8 +247,8 @@ class CulturalDate:
     def position(self) -> tuple[int, int, int, int]:
         """{Tzolk'in; Haab'; Kawil; direction-color} as published."""
         return (
-            self.cycle.tzolkin_pos,
-            self.cycle.haab_pos,
+            self.cycle.tzolkin.position,
+            self.cycle.haab.position,
             self.cycle.kawil,
             self.cycle.direction_color,
         )
@@ -261,11 +256,11 @@ class CulturalDate:
 
 def cultural_dates(c: DerivedConstants) -> list[CulturalDate]:
     """The five anchor dates: creation, 5*X0, Era end, 5 Aeon, grand cycle."""
-    x0 = c.xultun[0]
+    x0 = XULTUN[0]
     rows = [
         ("I0", "mythical date of creation", 0),
         ("5X0", "date of the Itza prophecy", 5 * x0),
-        ("E", "end of the 13 Baktun Era", c.era),
+        ("E", "end of the 13 Baktun Era", ERA),
         ("5A", "end of the 5 Maya Aeon", 5 * c.aeon),
         ("GC", "end of the Maya grand cycle", c.grand_cycle),
     ]

@@ -21,7 +21,7 @@ from mayacal.cycles import cycle_date
 from mayacal.lunar import search
 
 GOLDEN = Path(__file__).parent / "golden"
-GMT = CorrelationConstant(jdn_at_creation=GMT_CORRELATION, label="GMT")
+GMT = CorrelationConstant(GMT_CORRELATION)
 CALENDAR_ROUND = 18980
 CREATION_CR = "4 Ahau 8 Cumku"  # day 0's Calendar Round, so its matches are the multiples of 18980
 
@@ -112,10 +112,16 @@ class TestExitCodes:
         code, out = run("--format", "json", "lunar", "age", "--lc", "²", "--lc0", "0")
         assert code == 2
         assert json.loads(out)["payload"]["position"] == 1
+        # Only one minus sign may precede the digits.
+        code, out = run("convert", "4 Ahau 8 Cumku", "--window=--5..6")
+        assert code == 2 and "window must be LO..HI, got '--5..6'" in out
+        code, out = run("--format", "json", "lunar", "age", "--lc=--5", "--lc0", "0")
+        assert code == 2
+        assert json.loads(out)["payload"]["position"] == 3
 
     def test_mismatch_exits_one(self, run, monkeypatch):
         failing = cli.OutputEnvelope.result(
-            "verify", {}, [Check.eq("sabotaged", 1, 2)]
+            "verify", {}, [Check("sabotaged", 1, 2, False)]
         )
         monkeypatch.setattr(cli, "cmd_verify", lambda args, constant: failing)
         monkeypatch.setitem(cli.HANDLERS, "verify", cli.cmd_verify)
@@ -127,7 +133,7 @@ class TestExitCodes:
     def test_envelope_exit_mapping(self):
         ok = OutputEnvelope.result("x", {})
         assert ok.exit_code == 0
-        bad = OutputEnvelope.result("x", {}, [Check.eq("c", 1, 2)])
+        bad = OutputEnvelope.result("x", {}, [Check("c", 1, 2, False)])
         assert (bad.status, bad.exit_code) == ("mismatch", 1)
         err = OutputEnvelope.error("x", "boom")
         assert (err.status, err.exit_code) == ("error", 2)
@@ -210,7 +216,7 @@ class TestRows:
         summary = cli._match_summary
         monkeypatch.setattr(cli, "_match_summary", lambda d, c: made.append(d) or summary(d, c))
         args = cli.build_parser().parse_args(["convert", "4 Ahau 8 Cumku", "--window", "0..40000"])
-        envelope = cli.cmd_convert(args, CorrelationConstant(jdn_at_creation=GMT_CORRELATION, label="GMT"))
+        envelope = cli.cmd_convert(args, GMT)
         assert envelope.payload["count"] == 3
         assert made == []
         assert "day: 37960" in envelope.to_text()

@@ -137,7 +137,7 @@ class TestLongCount:
 class TestCycleDate:
     def test_creation(self):
         cd = cycle_date(0)
-        assert (cd.tzolkin_pos, cd.haab_pos) == (160, 349)
+        assert (cd.tzolkin.position, cd.haab.position) == (160, 349)
         assert cd.calendar_round == "4 Ahau 8 Cumku"
         assert cd.kawil == 3
         assert cd.direction_color == 0
@@ -189,11 +189,11 @@ class TestCalendarRoundDay:
         seen = set()
         for d in range(CALENDAR_ROUND):
             cd = cycle_date(d)
-            seen.add((cd.tzolkin_pos, cd.haab_pos))
+            seen.add((cd.tzolkin.position, cd.haab.position))
         assert len(seen) == CALENDAR_ROUND
         first = cycle_date(0)
         again = cycle_date(CALENDAR_ROUND)
-        assert (first.tzolkin_pos, first.haab_pos) == (again.tzolkin_pos, again.haab_pos)
+        assert (first.tzolkin.position, first.haab.position) == (again.tzolkin.position, again.haab.position)
 
 
 def test_commensuration_identity():
@@ -228,7 +228,9 @@ def test_long_count_round_trip_property(d):
 @given(st.integers(min_value=0, max_value=10**9))
 def test_positions_in_range(d):
     cd = cycle_date(d)
-    assert 0 <= cd.tzolkin_pos < 260
-    assert 0 <= cd.haab_pos < 365
+    assert 0 <= cd.tzolkin.position < 260
+    assert 0 <= cd.haab.position < 365
+    assert cd.tzolkin.position == (d + 160) % 260
+    assert cd.haab.position == (d + 349) % 365
     assert 0 <= cd.kawil < 819
     assert 0 <= cd.direction_color < 4

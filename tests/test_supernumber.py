@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from mayacal.arith import lcm_factorization, lcm_many
+from mayacal.cycles import CALENDAR_ROUND, ERA, KAWIL_CYCLE
 from mayacal.supernumber import (
     CANONICAL_PERIODS,
+    LONG_ROUND,
     SUPER_NUMBER,
     XULTUN,
     XULTUN_UNIT,
@@ -42,14 +44,14 @@ class TestComputeSupernumber:
 
 class TestDeriveConstants:
     def test_named_cycles(self, constants):
-        assert constants.xultun[0] == 341640
+        assert XULTUN[0] == 341640
         assert constants.tun_haab_kawil == 2391480
         assert constants.grand_cycle == 956592000
         assert constants.aeon == 136656000
-        assert constants.era == 1872000
-        assert constants.long_round == 1366560
-        assert constants.calendar_round == 18980
-        assert constants.kawil_cycle == 3276
+        assert ERA == 1872000
+        assert LONG_ROUND == 1366560
+        assert CALENDAR_ROUND == 18980
+        assert KAWIL_CYCLE == 3276
 
 
 class TestSupernumberReport:
