@@ -17,8 +17,8 @@ Miller-Rabin test and Brent's variant of Pollard rho on what is left.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 #: All inputs the model factorizes fit in a signed 64-bit word; results
 #: beyond this bound are reported as overflow, never wrapped.
@@ -87,19 +87,18 @@ def is_prime(n: int) -> bool:
     raise ValueError(f"{n} is beyond the range where Miller-Rabin with 12 bases is exact")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple("Factorization", [("factors", tuple[tuple[int, int], ...])])):
     """A multiset of (prime, multiplicity) pairs, primes strictly increasing.
 
     The represented integer is the product of ``prime**multiplicity`` over
     all entries; the empty factorization represents 1.
     """
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, factors: tuple[tuple[int, int], ...]) -> Factorization:
         last = 1
-        for prime, mult in self.factors:
+        for prime, mult in factors:
             if prime <= last:
                 raise ValueError(f"primes must be strictly increasing, got {prime} after {last}")
             if not is_prime(prime):
@@ -107,6 +106,7 @@ class Factorization:
             if mult < 1:
                 raise ValueError(f"multiplicity of {prime} must be >= 1, got {mult}")
             last = prime
+        return super().__new__(cls, factors)
 
     @property
     def value(self) -> int:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class Rows(list):
@@ -37,7 +36,7 @@ def jsonable(value: Any) -> Any:
         return value  # each row is made jsonable as it is read
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # a record is a tuple too, but renders as its str
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
@@ -46,8 +45,7 @@ def jsonable(value: Any) -> Any:
     return str(value)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified identity: a name, the expected value, and what was computed."""
 
     name: str
@@ -64,12 +62,19 @@ class Check:
         }
 
 
-@dataclass
 class Report:
     """A named bundle of checks; ``ok`` iff every check passed."""
 
-    title: str
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list[Check] | None = None) -> None:
+        self.title, self.checks = title, [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"Report(title={self.title!r}, checks={self.checks!r})"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Report and (self.title, self.checks) == (other.title, other.checks)
 
     def check(self, name: str, expected: Any, computed: Any) -> Check:
         c = Check(name, expected, computed, expected == computed)

@@ -13,11 +13,9 @@ closed by its reader (as in ``mayacal ... | head``).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import INT63_MAX, decimal_str, factorize, round_nearest
@@ -36,7 +34,7 @@ from .lunar import (
     verify_ratio_table,
     verify_search,
 )
-from .notation import DateParseError, era_display, parse, resolution
+from .notation import DateParseError, era_display, parse, read_int, resolution
 from .supernumber import (
     creation_residues,
     cultural_dates,
@@ -59,8 +57,6 @@ BROKEN_PIPE_EXIT = 120
 #: Characters joined per write: each write is a syscall when stdout is
 #: unbuffered (``PYTHONUNBUFFERED``), and a bounded batch keeps memory flat.
 WRITE_BATCH = 1 << 16
-
-_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 
 #: The verify suites in paper order, each a function of the derived
 #: constants; ``verify all`` runs every one.
@@ -106,14 +102,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self.prog.partition(" ")[2] or self.prog)
 
 
-@dataclass
 class OutputEnvelope:
     """One command result, rendered identically to text and JSON."""
 
-    command: str
-    status: str  # ok | mismatch | error
-    payload: dict
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("command", "status", "payload", "checks")
+
+    def __init__(self, command: str, status: str, payload: dict, checks: list[Check] | None = None) -> None:
+        self.command, self.status, self.payload = command, status, payload  # status: ok | mismatch | error
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return (f"OutputEnvelope(command={self.command!r}, status={self.status!r}, "
+                f"payload={self.payload!r}, checks={self.checks!r})")
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is OutputEnvelope and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @classmethod
     def result(cls, command: str, payload: dict, checks: list[Check] | None = None) -> "OutputEnvelope":
@@ -139,7 +142,10 @@ class OutputEnvelope:
 
     def render(self, fmt: str) -> Iterator[str]:
         """The ``fmt`` rendering ("text" or "json") in pieces, each made as it is read."""
-        return _JSON.iterencode(self.to_dict()) if fmt == "json" else self._text_pieces()
+        if fmt != "json":
+            return self._text_pieces()
+        import json  # here, so that a text call never loads it
+        return json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(self.to_dict())
 
     def to_json(self) -> str:
         return "".join(self.render("json"))
@@ -227,7 +233,10 @@ def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep or not lo.removeprefix("-").isdecimal() or not hi.removeprefix("-").isdecimal():
         raise UsageError(f"window must be LO..HI, got {text!r}")
-    window = (int(lo), int(hi))
+    try:
+        window = (int(lo), int(hi))
+    except ValueError:  # a bound longer than the interpreter converts
+        raise UsageError(f"window bound is too long: {max(len(lo), len(hi))} digits") from None
     if not 0 <= window[0] <= window[1]:
         raise UsageError(f"window must satisfy 0 <= lo <= hi, got {text!r}")
     return window
@@ -355,7 +364,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
 def _parse_day_arg(text: str, flag: str) -> int:
     """A day number given as an integer or a Long Count string."""
     if text.removeprefix("-").isdecimal():
-        day = int(text)
+        day = read_int(text, flag, 0)
         if day < 0:
             raise UsageError(f"{flag} must be non-negative, got {day}")
         return day
@@ -370,7 +379,11 @@ def _parse_day_arg(text: str, flag: str) -> int:
 
 def _parse_ratio(text: str) -> Fraction:
     num, sep, den = text.partition("/")
-    if not sep or not num.isdecimal() or not den.isdecimal() or int(den) == 0 or int(num) == 0:
+    try:
+        valid = sep and num.isdecimal() and den.isdecimal() and int(den) != 0 and int(num) != 0
+    except ValueError:  # a term longer than the interpreter converts
+        raise UsageError(f"ratio term is too long: {max(len(num), len(den))} digits") from None
+    if not valid:
         raise UsageError(f"ratio must be DAYS/LUNATIONS with positive integers, got {text!r}")
     return Fraction(int(num), int(den))
 

@@ -15,8 +15,7 @@ date is written in, :func:`describe` always reports both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 GMT_CORRELATION = 584283
 
@@ -30,15 +29,15 @@ MONTH_NAMES = (
 _DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
-@dataclass(frozen=True)
-class CorrelationConstant:
+class CorrelationConstant(NamedTuple("CorrelationConstant", [("jdn_at_creation", int)])):
     """JDN assigned to day 0 of the count."""
 
-    jdn_at_creation: int = GMT_CORRELATION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.jdn_at_creation <= 0:
-            raise ValueError(f"correlation constant must be positive, got {self.jdn_at_creation}")
+    def __new__(cls, jdn_at_creation: int = GMT_CORRELATION) -> CorrelationConstant:
+        if jdn_at_creation <= 0:
+            raise ValueError(f"correlation constant must be positive, got {jdn_at_creation}")
+        return super().__new__(cls, jdn_at_creation)
 
 
 GMT = CorrelationConstant()
@@ -56,22 +55,19 @@ def month_length(year: int, month: int, calendar: Calendar) -> int:
     return _DAYS_IN_MONTH[month - 1]
 
 
-@dataclass(frozen=True)
-class CivilDate:
+class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", int), ("calendar", Calendar)])):
     """A calendar date; ``year`` is astronomical (0 = 1 BC, -1 = 2 BC, ...)."""
 
-    year: int
-    month: int
-    day: int
-    calendar: Calendar
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.calendar not in ("julian", "gregorian"):
-            raise ValueError(f"calendar must be 'julian' or 'gregorian', got {self.calendar!r}")
-        if not 1 <= self.month <= 12:
-            raise ValueError(f"month must be 1..12, got {self.month}")
-        if not 1 <= self.day <= month_length(self.year, self.month, self.calendar):
-            raise ValueError(f"day {self.day} invalid for {self.year}-{self.month:02d} ({self.calendar})")
+    def __new__(cls, year: int, month: int, day: int, calendar: Calendar) -> CivilDate:
+        if calendar not in ("julian", "gregorian"):
+            raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
+        if not 1 <= month <= 12:
+            raise ValueError(f"month must be 1..12, got {month}")
+        if not 1 <= day <= month_length(year, month, calendar):
+            raise ValueError(f"day {day} invalid for {year}-{month:02d} ({calendar})")
+        return super().__new__(cls, year, month, day, calendar)
 
     @property
     def year_display(self) -> str:
@@ -122,8 +118,7 @@ def civil_to_jdn(date: CivilDate) -> int:
     return base - 32083
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """A day rendered on both civil calendars so source ambiguity stays visible."""
 
     jdn: int

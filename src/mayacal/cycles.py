@@ -18,7 +18,7 @@ reproduces the externally attested 13.0.0.0.0 4 Ahau 3 Kankin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import crt
 
@@ -60,18 +60,17 @@ HAAB_EPOCH = 349
 KAWIL_EPOCH = 3
 
 
-@dataclass(frozen=True)
-class TzolkinDate:
+class TzolkinDate(NamedTuple("TzolkinDate", [("number", int), ("name_index", int)])):
     """A date in the 260-day ritual cycle: a 1..13 number and a 20-name wheel."""
 
-    number: int
-    name_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.number <= 13:
-            raise ValueError(f"Tzolk'in number must be 1..13, got {self.number}")
-        if not 0 <= self.name_index <= 19:
-            raise ValueError(f"Tzolk'in name index must be 0..19, got {self.name_index}")
+    def __new__(cls, number: int, name_index: int) -> TzolkinDate:
+        if not 1 <= number <= 13:
+            raise ValueError(f"Tzolk'in number must be 1..13, got {number}")
+        if not 0 <= name_index <= 19:
+            raise ValueError(f"Tzolk'in name index must be 0..19, got {name_index}")
+        return super().__new__(cls, number, name_index)
 
     @property
     def name(self) -> str:
@@ -91,21 +90,20 @@ class TzolkinDate:
         return f"{self.number} {self.name}"
 
 
-@dataclass(frozen=True)
-class HaabDate:
+class HaabDate(NamedTuple("HaabDate", [("day", int), ("month_index", int)])):
     """A date in the 365-day year: 18 months of 20 days plus the 5-day Uayeb."""
 
-    day: int
-    month_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.month_index <= 18:
-            raise ValueError(f"Haab' month index must be 0..18, got {self.month_index}")
-        limit = 4 if self.month_index == 18 else 19
-        if not 0 <= self.day <= limit:
+    def __new__(cls, day: int, month_index: int) -> HaabDate:
+        if not 0 <= month_index <= 18:
+            raise ValueError(f"Haab' month index must be 0..18, got {month_index}")
+        limit = 4 if month_index == 18 else 19
+        if not 0 <= day <= limit:
             raise ValueError(
-                f"Haab' day {self.day} out of range 0..{limit} for {HAAB_MONTHS[self.month_index]}"
+                f"Haab' day {day} out of range 0..{limit} for {HAAB_MONTHS[month_index]}"
             )
+        return super().__new__(cls, day, month_index)
 
     @property
     def month_name(self) -> str:
@@ -125,27 +123,23 @@ class HaabDate:
         return f"{self.day} {self.month_name}"
 
 
-@dataclass(frozen=True)
-class LongCount:
+class LongCount(NamedTuple("LongCount", [(name, int) for name, _ in LONG_COUNT_DIGITS])):
     """Mixed-radix day count: kin 1, winal 20, tun 360, katun 7200, baktun 144000.
 
     Baktun is unbounded (attested counts reach baktun 17 and beyond); the
     lower digits keep their radix bounds.
     """
 
-    baktun: int
-    katun: int
-    tun: int
-    winal: int
-    kin: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        digits = (self.baktun, self.katun, self.tun, self.winal, self.kin)
+    def __new__(cls, baktun: int, katun: int, tun: int, winal: int, kin: int) -> LongCount:
+        digits = (baktun, katun, tun, winal, kin)
         for (field_name, limit), value in zip(LONG_COUNT_DIGITS, digits):
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative, got {value}")
             if limit is not None and value > limit:
                 raise ValueError(f"{field_name} must be <= {limit}, got {value}")
+        return super().__new__(cls, *digits)
 
     @property
     def days(self) -> int:
@@ -161,8 +155,7 @@ class LongCount:
         return f"{self.baktun}.{self.katun}.{self.tun}.{self.winal}.{self.kin}"
 
 
-@dataclass(frozen=True)
-class CycleDate:
+class CycleDate(NamedTuple):
     """The full cyclical position of one day."""
 
     day: int

@@ -18,8 +18,8 @@ formula, whose exact statement is 81*N + 104 = 26008014145502 * 2392.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import decimal_str, lcm_many, round_nearest
 from .checks import Report
@@ -58,8 +58,7 @@ def epsilon(n: int, days: int, lunations: int) -> Fraction:
     return Fraction(abs(n * lunations - nearest * days), lunations)
 
 
-@dataclass(frozen=True)
-class LunarCandidate:
+class LunarCandidate(NamedTuple):
     """One lunar equation: T0 days = L lunations, with its ratio and error."""
 
     days: int  # T0
@@ -109,8 +108,7 @@ def ratio_table(n: int) -> list[LunarCandidate]:
     return rows
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of the lunation search i = 1..max."""
 
     candidates: tuple[LunarCandidate, ...]  # one per i, ordered by i, up to the first T0 >= one CR

@@ -17,7 +17,7 @@ other parenthetical or multiplier, or an ASCII "x", is an error.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import crt
 from .cycles import (
@@ -52,36 +52,46 @@ class DateParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class DateExpression:
+class DateExpression(NamedTuple("DateExpression", [
+    ("long_count", LongCount | None),
+    ("tzolkin", TzolkinDate | None),
+    ("haab", HaabDate | None),
+    ("kawil", tuple[int, int] | None),  # (count 0..818, direction-color 0..3)
+])):
     """A date as written: any subset of Long Count, Calendar Round, Kawil parts.
 
     Components are not cross-checked at construction; consistency for some
     day number is decided by :func:`resolution`.
     """
 
-    long_count: LongCount | None = None
-    tzolkin: TzolkinDate | None = None
-    haab: HaabDate | None = None
-    kawil: tuple[int, int] | None = None  # (count 0..818, direction-color 0..3)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.long_count is None and self.tzolkin is None and self.haab is None and self.kawil is None:
+    def __new__(cls, long_count=None, tzolkin=None, haab=None, kawil=None) -> DateExpression:
+        if long_count is None and tzolkin is None and haab is None and kawil is None:
             raise ValueError("date expression needs at least one component")
-        if self.kawil is not None:
-            count, color = self.kawil
+        if kawil is not None:
+            count, color = kawil
             if not 0 <= count <= 818:
                 raise ValueError(f"Kawil count must be 0..818, got {count}")
             if not 0 <= color <= 3:
                 raise ValueError(f"direction-color must be 0..3, got {color}")
+        return super().__new__(cls, long_count, tzolkin, haab, kawil)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Days in a window matching an expression, with the inconsistency verdict."""
 
     days: range
     inconsistent: bool  # Long Count in the window but another component disagreed
+
+
+def read_int(token: str, what: str, at: int) -> int:
+    """The value of the decimal digits ``token``, or a DateParseError at ``at``
+    when it is longer than the interpreter converts (4300 digits by default)."""
+    try:
+        return int(token)
+    except ValueError:
+        raise DateParseError(f"{what} is too long: {len(token)} digits", at) from None
 
 
 def expression_from_day(day: int) -> DateExpression:
@@ -107,13 +117,13 @@ def _parse_long_count(word: str, offset: int) -> LongCount:
     multiple, baktun, era = lead.groups()
     if era is not None and baktun + era != "13(0)":
         raise DateParseError(f"only 13(0) marks an era completion, got {parts[0]!r}", positions[0])
-    if multiple is not None and (era is None or int(multiple) < 2):
+    if multiple is not None and (era is None or read_int(multiple, "era multiple", positions[0]) < 2):
         raise DateParseError(f"an era multiple is k×13(0) with k >= 2, got {parts[0]!r}", positions[0])
-    digits = [int(baktun) * int(multiple or 1)]
+    digits = [read_int(baktun, "baktun", positions[0]) * int(multiple or 1)]
     for part, at in zip(parts[1:], positions[1:]):
         if not part.isdecimal():
             raise DateParseError(f"bad long count digit {part!r}", at)
-        digits.append(int(part))
+        digits.append(read_int(part, "long count digit", at))
     for (name, limit), value, at in zip(LONG_COUNT_DIGITS[1:], digits[1:], positions[1:]):
         if value > limit:
             raise DateParseError(f"{name} {value} out of range 0..{limit}", at)
@@ -132,7 +142,7 @@ def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple
 
     if not num_tok.isdecimal():
         raise DateParseError(f"bad Tzolk'in number {num_tok!r}", num_at)
-    number = int(num_tok)
+    number = read_int(num_tok, "Tzolk'in number", num_at)
     if not 1 <= number <= 13:
         raise DateParseError(f"Tzolk'in number {number} out of range 1..13", num_at)
     tz_index = _TZOLKIN_BY_NAME.get(tz_tok.lower())
@@ -141,7 +151,7 @@ def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple
 
     if not day_tok.isdecimal():
         raise DateParseError(f"bad Haab' day {day_tok!r}", day_at)
-    day = int(day_tok)
+    day = read_int(day_tok, "Haab' day", day_at)
     month_index = _HAAB_BY_NAME.get(month_tok.lower())
     if month_index is None:
         raise DateParseError(f"unknown Haab' month name {month_tok!r}", month_at)

@@ -18,7 +18,7 @@ expected against computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Factorization, crt, lcm_factorization, lcm_many
 from .checks import Report
@@ -50,8 +50,7 @@ LONG_ROUND = 1366560  # 9.9.16.0.0, Dresden Codex Venus table
 CANONICAL_PERIODS = (116, 584, 365, 780, 399, 378, 177, 178, 148)
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
+class DerivedConstants(NamedTuple):
     """The cycle lengths derived from the canonical periods (all day counts).
 
     Derived values only: the deciphered and attested numbers (``XULTUN``,
@@ -233,8 +232,7 @@ def creation_residues(c: DerivedConstants) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class CulturalDate:
+class CulturalDate(NamedTuple):
     """One row of the cultural-dates table: a named day and its cyclical position."""
 
     label: str

@@ -24,6 +24,8 @@ GOLDEN = Path(__file__).parent / "golden"
 GMT = CorrelationConstant(GMT_CORRELATION)
 CALENDAR_ROUND = 18980
 CREATION_CR = "4 Ahau 8 Cumku"  # day 0's Calendar Round, so its matches are the multiples of 18980
+TOO_LONG = "1" * 5000  # past the interpreter's default limit of 4300 digits for int()
+SRC = Path(cli.__file__).parents[1]
 
 
 class Full(Exception):
@@ -118,6 +120,31 @@ class TestExitCodes:
         code, out = run("--format", "json", "lunar", "age", "--lc=--5", "--lc0", "0")
         assert code == 2
         assert json.loads(out)["payload"]["position"] == 3
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,error,position",
+        [
+            (["convert", f"1.{TOO_LONG}.0.0.0"], "long count digit is too long: 5000 digits", 2),
+            (["convert", f"4 Ahau {TOO_LONG} Cumku"], "Haab' day is too long: 5000 digits", 7),
+            (["lunar", "age", "--lc", TOO_LONG, "--lc0", "0"], "--lc is too long: 5000 digits", 0),
+            (["convert", CREATION_CR, "--window", f"0..{TOO_LONG}"], "window bound is too long: 5000 digits", None),
+            (["lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", f"{TOO_LONG}/81"],
+             "ratio term is too long: 5000 digits", None),
+        ],
+        ids=["long-count", "calendar-round", "lc", "window", "ratio"],
+    )
+    def test_number_past_digit_limit(self, run, fmt, argv, error, position):
+        code, out = run("--format", fmt, *argv)
+        assert code == 2
+        if fmt == "json":
+            payload = json.loads(out)["payload"]
+            assert payload["error"].startswith(error)
+            assert payload.get("position") == position
+        else:
+            assert f"\nerror: {error}" in out
+            assert ("\nposition: " in out) == (position is not None)
+            assert position is None or out.endswith(f"\nposition: {position}\n")
 
     def test_mismatch_exits_one(self, run, monkeypatch):
         failing = cli.OutputEnvelope.result(
@@ -459,3 +486,36 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "status: ok" in result.stdout
+
+
+class TestImportFootprint:
+    """What a cold call loads.  ``bench/worker.py`` reads the eight
+    ``mayacal.*`` submodules from ``sys.modules`` right after importing
+    ``mayacal`` and ``mayacal.cli``, so those imports must load them all."""
+
+    SUBMODULES = ("arith", "checks", "cycles", "notation", "correlation", "supernumber", "lunar", "cli")
+
+    @staticmethod
+    def _python(*args: str) -> subprocess.CompletedProcess:
+        env = {k: v for k, v in os.environ.items() if k != cli.FORMAT_ENV_VAR}
+        env["PYTHONPATH"] = str(SRC)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+    def _imported(self, *args: str) -> set[str]:
+        """Modules that ``python -X importtime <args>`` imports."""
+        result = self._python("-X", "importtime", *args)
+        assert result.returncode == 0, result.stderr
+        return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+
+    def test_package_import(self):
+        result = self._python("-c", "import sys, mayacal, mayacal.cli; print(*sorted(sys.modules))")
+        loaded = set(result.stdout.split())
+        assert not {"dataclasses", "inspect"} & loaded
+        assert {f"mayacal.{name}" for name in self.SUBMODULES} <= loaded
+
+    def test_text_call_never_loads_json(self):
+        # Whatever the interpreter loads at start-up (site, .pth files) is not the call's.
+        text = self._imported("-m", "mayacal", "convert", "9.9.16.0.0") - self._imported("-c", "pass")
+        assert "mayacal.cli" in text
+        assert not {name for name in text if name == "json" or name.startswith("json.")}
+        assert "json" in self._imported("-m", "mayacal", "--format", "json", "convert", "9.9.16.0.0")

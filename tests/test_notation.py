@@ -55,6 +55,21 @@ class TestParseLongCount:
                 parse(text)
             assert exc.value.position == position
 
+    def test_number_past_digit_limit(self):
+        # int() refuses more than 4300 digits by default; the parser names the part and its offset.
+        big = "1" * 5000
+        for text, what, position in (
+            (f"9.{big}.16.0.0", "long count digit", 2),
+            (f"{big}.0.0.0.0", "baktun", 0),
+            (f" {big}×13(0).0.0.0.0", "era multiple", 1),
+            (f"{big} Ahau 8 Cumku", "Tzolk'in number", 0),
+            (f"4 Ahau {big} Cumku", "Haab' day", 7),
+        ):
+            with pytest.raises(DateParseError) as exc:
+                parse(text)
+            assert str(exc.value) == f"{what} is too long: 5000 digits (at offset {position})"
+            assert exc.value.position == position
+
     def test_whitespace_tolerant(self):
         expr = parse("  9.9.16.0.0   4   Ahau   8   Cumku  ")
         assert expr.long_count == LongCount(9, 9, 16, 0, 0)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from mayacal.arith import lcm_factorization, lcm_many
@@ -159,7 +157,7 @@ class TestCreationResidues:
         assert hits[0] == 4680
 
     def test_non_divisible_is_hard_failure(self, constants):
-        broken = dataclasses.replace(constants, n=constants.n + 1)
+        broken = constants._replace(n=constants.n + 1)
         with pytest.raises(ArithmeticError):
             creation_residues(broken)
 
