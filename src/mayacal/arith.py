@@ -87,6 +87,15 @@ def is_prime(n: int) -> bool:
     raise ValueError(f"{n} is beyond the range where Miller-Rabin with 12 bases is exact")
 
 
+def checked_replace(record, /, **changes):
+    """``_replace`` for a record that checks its fields in ``__new__``: the copy is
+    built by the constructor, where the named tuple's own goes through ``_make``."""
+    values = [changes.pop(name, value) for name, value in zip(record._fields, record)]
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return type(record)(*values)
+
+
 class Factorization(NamedTuple("Factorization", [("factors", tuple[tuple[int, int], ...])])):
     """A multiset of (prime, multiplicity) pairs, primes strictly increasing.
 
@@ -95,6 +104,7 @@ class Factorization(NamedTuple("Factorization", [("factors", tuple[tuple[int, in
     """
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, factors: tuple[tuple[int, int], ...]) -> Factorization:
         last = 1

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
+from .arith import checked_replace
+
 GMT_CORRELATION = 584283
 
 Calendar = Literal["julian", "gregorian"]
@@ -33,6 +35,7 @@ class CorrelationConstant(NamedTuple("CorrelationConstant", [("jdn_at_creation",
     """JDN assigned to day 0 of the count."""
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, jdn_at_creation: int = GMT_CORRELATION) -> CorrelationConstant:
         if jdn_at_creation <= 0:
@@ -59,6 +62,7 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
     """A calendar date; ``year`` is astronomical (0 = 1 BC, -1 = 2 BC, ...)."""
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, year: int, month: int, day: int, calendar: Calendar) -> CivilDate:
         if calendar not in ("julian", "gregorian"):

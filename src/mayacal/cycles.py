@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import crt
+from .arith import checked_replace, crt
 
 TZOLKIN_NAMES = (
     "Imix", "Ik", "Akbal", "Kan", "Chicchan", "Cimi", "Manik", "Lamat",
@@ -64,6 +64,7 @@ class TzolkinDate(NamedTuple("TzolkinDate", [("number", int), ("name_index", int
     """A date in the 260-day ritual cycle: a 1..13 number and a 20-name wheel."""
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, number: int, name_index: int) -> TzolkinDate:
         if not 1 <= number <= 13:
@@ -94,6 +95,7 @@ class HaabDate(NamedTuple("HaabDate", [("day", int), ("month_index", int)])):
     """A date in the 365-day year: 18 months of 20 days plus the 5-day Uayeb."""
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, day: int, month_index: int) -> HaabDate:
         if not 0 <= month_index <= 18:
@@ -131,6 +133,7 @@ class LongCount(NamedTuple("LongCount", [(name, int) for name, _ in LONG_COUNT_D
     """
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, baktun: int, katun: int, tun: int, winal: int, kin: int) -> LongCount:
         digits = (baktun, katun, tun, winal, kin)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .arith import crt
+from .arith import checked_replace, crt
 from .cycles import (
     ERA,
     HAAB_DAYS,
@@ -29,7 +29,6 @@ from .cycles import (
     KAWIL_DAYS,
     KAWIL_EPOCH,
     LONG_COUNT_DIGITS,
-    TZOLKIN_DAYS,
     TZOLKIN_EPOCH,
     TZOLKIN_NAMES,
     HaabDate,
@@ -65,6 +64,7 @@ class DateExpression(NamedTuple("DateExpression", [
     """
 
     __slots__ = ()
+    _replace = checked_replace
 
     def __new__(cls, long_count=None, tzolkin=None, haab=None, kawil=None) -> DateExpression:
         if long_count is None and tzolkin is None and haab is None and kawil is None:
@@ -97,37 +97,42 @@ def read_int(token: str, what: str, at: int) -> int:
 def expression_from_day(day: int) -> DateExpression:
     """The full combined expression (Long Count + Calendar Round) of a day."""
     cd = cycle_date(day)
-    return DateExpression(long_count=cd.long_count, tzolkin=cd.tzolkin, haab=cd.haab)
+    return DateExpression._make((cd.long_count, cd.tzolkin, cd.haab, None))
+
+
+def _parse_baktun(lead: str, at: int) -> int:
+    """Plain digits, or the era sugar 13(0) or k×13(0) that :func:`era_display` prints."""
+    if lead.isdecimal():
+        return read_int(lead, "baktun", at)
+    match = _LEADING_DIGIT.match(lead)
+    if match is None:
+        raise DateParseError(f"bad long count digit {lead!r}", at)
+    multiple, baktun, era = match.groups()
+    if era is not None and baktun + era != "13(0)":
+        raise DateParseError(f"only 13(0) marks an era completion, got {lead!r}", at)
+    if multiple is not None and (era is None or read_int(multiple, "era multiple", at) < 2):
+        raise DateParseError(f"an era multiple is k×13(0) with k >= 2, got {lead!r}", at)
+    return read_int(baktun, "baktun", at) * int(multiple or 1)
 
 
 def _parse_long_count(word: str, offset: int) -> LongCount:
     parts = word.split(".")
     if len(parts) != 5:
-        raise DateParseError(
-            f"long count needs 5 dot-separated digits, got {len(parts)}", offset
-        )
-    positions = []
-    at = offset
-    for part in parts:
-        positions.append(at)
-        at += len(part) + 1
-    lead = _LEADING_DIGIT.match(parts[0])
-    if lead is None:
-        raise DateParseError(f"bad long count digit {parts[0]!r}", positions[0])
-    multiple, baktun, era = lead.groups()
-    if era is not None and baktun + era != "13(0)":
-        raise DateParseError(f"only 13(0) marks an era completion, got {parts[0]!r}", positions[0])
-    if multiple is not None and (era is None or read_int(multiple, "era multiple", positions[0]) < 2):
-        raise DateParseError(f"an era multiple is k×13(0) with k >= 2, got {parts[0]!r}", positions[0])
-    digits = [read_int(baktun, "baktun", positions[0]) * int(multiple or 1)]
-    for part, at in zip(parts[1:], positions[1:]):
+        raise DateParseError(f"long count needs 5 dot-separated digits, got {len(parts)}", offset)
+    digits = [_parse_baktun(parts[0], offset)]
+    at = offset + len(parts[0]) + 1
+    out_of_range = None  # raised after the loop: a bad digit further on is reported first
+    for (name, limit), part in zip(LONG_COUNT_DIGITS[1:], parts[1:]):
         if not part.isdecimal():
             raise DateParseError(f"bad long count digit {part!r}", at)
-        digits.append(read_int(part, "long count digit", at))
-    for (name, limit), value, at in zip(LONG_COUNT_DIGITS[1:], digits[1:], positions[1:]):
-        if value > limit:
-            raise DateParseError(f"{name} {value} out of range 0..{limit}", at)
-    return LongCount(*digits)
+        value = read_int(part, "long count digit", at)
+        if value > limit and out_of_range is None:
+            out_of_range = DateParseError(f"{name} {value} out of range 0..{limit}", at)
+        digits.append(value)
+        at += len(part) + 1
+    if out_of_range is not None:
+        raise out_of_range
+    return LongCount._make(digits)
 
 
 def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple[TzolkinDate, HaabDate]:
@@ -159,12 +164,16 @@ def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple
         haab = HaabDate(day, month_index)  # the day limit: 19, or 4 in the Uayeb
     except ValueError as exc:
         raise DateParseError(str(exc), day_at) from None
-    return TzolkinDate(number, tz_index), haab
+    return TzolkinDate._make((number, tz_index)), haab
 
 
 def parse(text: str) -> DateExpression:
     """Parse a Long Count, Calendar Round, or combined date string."""
-    tokens = [(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
+    tokens, at = [], 0
+    for word in text.split():  # str.split and re's \S+ agree on what is whitespace
+        at = text.index(word, at)
+        tokens.append((word, at))
+        at += len(word)
     if not tokens:
         raise DateParseError("empty date string", 0)
 
@@ -178,7 +187,7 @@ def parse(text: str) -> DateExpression:
         tzolkin, haab = _parse_calendar_round(tokens, len(text))
     elif long_count is None:
         raise DateParseError("not a date string", 0)
-    return DateExpression(long_count=long_count, tzolkin=tzolkin, haab=haab)
+    return DateExpression._make((long_count, tzolkin, haab, None))
 
 
 def era_display(day: int) -> str:
@@ -198,40 +207,44 @@ def format_date(expr: DateExpression, style: str = "plain") -> str:
     """Render an expression; ``annotated`` style marks era completions as 13(0)."""
     if style not in ("plain", "annotated"):
         raise ValueError(f"style must be 'plain' or 'annotated', got {style!r}")
+    long_count, tzolkin, haab, _ = expr
     parts = []
-    if expr.long_count is not None:
-        days = expr.long_count.days
-        if style == "annotated" and days % ERA == 0:
-            parts.append(era_display(days))
+    if long_count is not None:
+        if style == "annotated" and long_count.days % ERA == 0:
+            parts.append(era_display(long_count.days))
         else:
-            parts.append(str(expr.long_count))
-    if expr.tzolkin is not None:
-        parts.append(str(expr.tzolkin))
-    if expr.haab is not None:
-        parts.append(str(expr.haab))
+            parts.append(str(long_count))
+    if tzolkin is not None:
+        parts.append(str(tzolkin))
+    if haab is not None:
+        parts.append(str(haab))
     return " ".join(parts)
 
 
 def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
     """All days in the inclusive window matching every present component.
 
-    Each cycle is one congruence on the day, joined by :func:`crt`; a Long
-    Count narrows the window to its own day.
+    Each cycle is a congruence on the day (the Tzolk'in two, one per wheel),
+    all joined by one :func:`crt`; a Long Count narrows the window to its own day.
     """
     lo, hi = window
     if not 0 <= lo <= hi:
         raise ValueError(f"window must satisfy 0 <= lo <= hi, got {window}")
 
+    long_count, tzolkin, haab, kawil = expr
     congruences = []
-    if expr.tzolkin is not None:
-        congruences.append((expr.tzolkin.position - TZOLKIN_EPOCH, TZOLKIN_DAYS))
-    if expr.haab is not None:
-        congruences.append((expr.haab.position - HAAB_EPOCH, HAAB_DAYS))
-    if expr.kawil is not None:
-        count, color = expr.kawil
+    if tzolkin is not None:
+        # One congruence per wheel: the day's Tzolk'in ordinal, day + TZOLKIN_EPOCH - 1,
+        # is number - 1 mod 13 and name_index mod 20.
+        number, name_index = tzolkin
+        congruences += ((number - TZOLKIN_EPOCH, 13), (name_index + 1 - TZOLKIN_EPOCH, 20))
+    if haab is not None:
+        congruences.append((haab.position - HAAB_EPOCH, HAAB_DAYS))
+    if kawil is not None:
+        count, color = kawil
         congruences.append((KAWIL_DAYS * color + count - KAWIL_EPOCH, KAWIL_CYCLE))
-    if expr.long_count is not None:
-        day = expr.long_count.days
+    if long_count is not None:
+        day = long_count.days
         lo, hi = max(lo, day), min(hi, day)  # lo > hi when the day is outside
 
     solved = crt(congruences)
@@ -239,4 +252,4 @@ def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
     if solved is not None:
         base, period = solved
         days = range(lo + (base - lo) % period, hi + 1, period)
-    return Resolution(days=days, inconsistent=expr.long_count is not None and lo <= hi and not days)
+    return Resolution(days, long_count is not None and lo <= hi and not days)

@@ -1,10 +1,12 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mayacal.cycles import ERA, HaabDate, LongCount, TzolkinDate, cycle_date
+from mayacal.cycles import ERA, HAAB_MONTHS, TZOLKIN_NAMES, HaabDate, LongCount, TzolkinDate, cycle_date
 from mayacal.notation import (
     DateExpression,
     DateParseError,
@@ -14,6 +16,8 @@ from mayacal.notation import (
     parse,
     resolution,
 )
+
+PARSE_GOLDEN = json.loads((Path(__file__).parent / "golden" / "parse_errors.json").read_text(encoding="utf-8"))
 
 
 class TestParseLongCount:
@@ -376,3 +380,60 @@ def test_parser_rejects_uayeb_overflow(day):
 def test_expression_requires_component():
     with pytest.raises(ValueError):
         DateExpression()
+
+
+def assert_checked(expr):
+    # Each record passes its own validating constructor, so _make admitted nothing out of range.
+    assert DateExpression(*expr) == expr
+    for record in expr[:3]:
+        if record is not None:
+            assert type(record)(*record) == record
+
+
+def test_parse_errors_golden():
+    # Every message and offset, and every accepted expression, exactly as pinned.
+    for case in PARSE_GOLDEN["rejected"]:
+        with pytest.raises(DateParseError) as exc:
+            parse(case["text"])
+        assert (str(exc.value), exc.value.position) == (case["message"], case["position"]), case["text"][:80]
+    for case in PARSE_GOLDEN["accepted"]:
+        expr = parse(case["text"])
+        assert repr(expr) == case["expression"], case["text"][:80]
+        assert_checked(expr)
+
+
+@given(st.integers(min_value=0, max_value=10**12))
+def test_expression_from_day_records_are_checked(day):
+    assert_checked(expression_from_day(day))
+
+
+@given(
+    st.one_of(st.none(), st.tuples(*[st.integers(min_value=0, max_value=25)] * 5)),
+    st.one_of(st.none(), st.tuples(
+        st.integers(min_value=0, max_value=15), st.sampled_from(TZOLKIN_NAMES),
+        st.integers(min_value=0, max_value=22), st.sampled_from(HAAB_MONTHS),
+    )),
+)
+def test_parsed_records_are_checked(digits, calendar_round):
+    # Near-valid strings: parse either refuses them or returns records in range.
+    parts = [".".join(map(str, digits))] if digits else []
+    parts += [" ".join(map(str, calendar_round))] if calendar_round else []
+    try:
+        expr = parse(" ".join(parts))
+    except DateParseError:
+        return
+    assert_checked(expr)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=10**12),
+        st.integers(min_value=2, max_value=511).map(lambda k: k * ERA),
+    ),
+    st.sampled_from(("plain", "annotated")),
+)
+def test_formatted_day_resolves_to_itself(day, style):
+    # Day 0 is the documented exception: its annotated form 13(0).0.0.0.0 reads as baktun 13.
+    assume(day != 0 or style == "plain")
+    text = format_date(expression_from_day(day), style)
+    assert resolution(parse(text), (day, day)).days == range(day, day + 1)

@@ -130,6 +130,36 @@ def test_validation_runs_however_a_record_is_built():
         CorrelationConstant(jdn_at_creation=0)
 
 
+# A field change each validating record refuses, with its constructor's message.
+BAD_REPLACEMENTS = {
+    Factorization: ({"factors": ((4, 1),)}, "4 is not prime"),
+    TzolkinDate: ({"number": 99}, "Tzolk'in number must be 1..13, got 99"),
+    HaabDate: ({"month_index": 18}, "Haab' day 8 out of range 0..4 for Uayeb"),
+    LongCount: ({"kin": 20}, "kin must be <= 19, got 20"),
+    CivilDate: ({"month": 2, "day": 30}, "day 30 invalid for 2012-02 (gregorian)"),
+    CorrelationConstant: ({"jdn_at_creation": 0}, "correlation constant must be positive, got 0"),
+    DateExpression: ({"kawil": (819, 0)}, "Kawil count must be 0..818, got 819"),
+}
+
+
+@pytest.mark.parametrize("record", BAD_REPLACEMENTS, ids=ids(BAD_REPLACEMENTS))
+def test_replace_runs_the_constructors_checks(record):
+    value = record(**RECORDS[record])
+    changes, message = BAD_REPLACEMENTS[record]
+    with pytest.raises(ValueError) as exc:
+        value._replace(**changes)
+    assert str(exc.value) == message
+    name, item = next(iter(RECORDS[record].items()))
+    assert value._replace(**{name: item}) == value and type(value._replace()) is record
+    with pytest.raises(ValueError, match="Got unexpected field names: \\['nope'\\]"):
+        value._replace(nope=1)
+
+
+def test_make_builds_without_checks():
+    # _make is for values already checked or in range by construction.
+    assert TzolkinDate._make((99, 19)) == (99, 19)
+
+
 def test_records_are_tuples():
     # They unpack, order and compare equal to plain tuples of the same values.
     number, name_index = TzolkinDate(4, 19)
