@@ -11,7 +11,6 @@ from .arith import (
     Factorization,
     decimal_str,
     factorize,
-    lcm_many,
     round_nearest,
 )
 from .correlation import (

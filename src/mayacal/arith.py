@@ -4,9 +4,12 @@ Everything downstream (cycle conversions, the super-number identities, the
 lunar error function) is exact integer or rational arithmetic; floating
 point never enters an identity check.  Rationals are ``fractions.Fraction``
 (always in lowest terms, positive denominator).  Least common multiples are
-computed by merging prime factorizations rather than by repeated pairwise
-``a*b//gcd`` so that every LCM in the model is auditable against the prime
-tables it came from.
+``math.lcm``, except the super-number N, the LCM of the nine canonical
+periods: :func:`lcm_factorization` merges their prime tables, so N is
+auditable against the factorization it came from.  No ``math.lcm`` call
+needs its 2**63 overflow check: every argument is a module constant, or a
+lunation length T0 <= 18988, as the lunar search at the modern month stops
+at the first T0 >= 18980.
 
 Factorization covers every n up to 2**63 - 1 in milliseconds: trial division
 by the primes below ``TRIAL_BOUND`` (which alone factors every n below
@@ -237,11 +240,6 @@ def lcm_factorization(values: list[int] | tuple[int, ...]) -> Factorization:
     if result.value > INT63_MAX:
         raise OverflowError(f"lcm {result.value} exceeds 2**63 - 1")
     return result
-
-
-def lcm_many(values: list[int] | tuple[int, ...]) -> int:
-    """Exact LCM via factorization merge; overflow past 2**63 - 1 is an error."""
-    return lcm_factorization(values).value
 
 
 def crt(congruences: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> tuple[int, int] | None:

@@ -147,6 +147,8 @@ class OutputEnvelope:
         import json  # here, so that a text call never loads it
         return json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(self.to_dict())
 
+    # Whole-string renderings.  main() streams render() instead, but
+    # bench/tracer.py patches these two by name when it installs, so they stay.
     def to_json(self) -> str:
         return "".join(self.render("json"))
 

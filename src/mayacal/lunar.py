@@ -18,20 +18,18 @@ formula, whose exact statement is 81*N + 104 = 26008014145502 * 2392.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import decimal_str, lcm_many, round_nearest
+from .arith import decimal_str, round_nearest
 from .checks import Report
 from .cycles import CALENDAR_ROUND
 
 #: Modern Moon synodic period, 29.530588 days, as an exact rational.
 MODERN_SYNODIC_MONTH = Fraction(29530588, 1000000)
 
-#: Attested lunar-table lengths in days: the Dresden Codex eclipse table,
-#: the three Xultun lunar tables, the Copan Moon ratio, the Palenque formula.
-TABLE_LENGTHS = (11960, 4784, 4606, 4429, 4400, 2392)
-
+#: Attested lunar-table lengths in days and their sources, in table order.
 TABLE_SOURCES = {
     11960: "Dresden Codex eclipse table",
     4784: "Xultun lunar table",
@@ -40,6 +38,7 @@ TABLE_SOURCES = {
     4400: "Copan Moon ratio",
     2392: "Palenque formula",
 }
+TABLE_LENGTHS = tuple(TABLE_SOURCES)
 
 PALENQUE_DAYS = 2392
 PALENQUE_LUNATIONS = 81
@@ -78,7 +77,7 @@ def candidate(n: int, days: int, lunations: int) -> LunarCandidate:
         lunations=lunations,
         ratio=Fraction(days, lunations),
         error=epsilon(n, days, lunations),
-        lcm260=lcm_many([260, days]),
+        lcm260=math.lcm(260, days),
     )
 
 
@@ -254,10 +253,10 @@ def verify_search(result: SearchResult) -> Report:
 def eclipse_commensuration() -> Report:
     """Commensuration of the Tzolk'in, the Palenque formula, and the Calendar Round."""
     report = Report("eclipse commensuration")
-    table = lcm_many([260, PALENQUE_DAYS])
+    table = math.lcm(260, PALENQUE_DAYS)
     report.check("LCM(260, 2392)", 11960, table)
     report.check("LCM(260, 2392) = 5 * 2392", table, 5 * PALENQUE_DAYS)
-    combined = lcm_many([11960, CALENDAR_ROUND])
+    combined = math.lcm(11960, CALENDAR_ROUND)
     report.check("LCM(11960, 18980)", 873080, combined)
     report.check("= 73 * 11960", combined, 73 * 11960)
     report.check("= 365 * 2392", combined, 365 * PALENQUE_DAYS)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import Factorization, crt, lcm_factorization, lcm_many
+from .arith import Factorization, crt, lcm_factorization
 from .checks import Report
 from .cycles import (
     CALENDAR_ROUND,
@@ -72,11 +72,11 @@ def derive_constants() -> DerivedConstants:
     from.
     """
     factors = lcm_factorization(CANONICAL_PERIODS)
-    x0 = lcm_many([260, 360, 365])
+    x0 = math.lcm(260, 360, 365)
     return DerivedConstants(
         n=factors.value,
         n_factors=factors,
-        tun_haab_kawil=lcm_many([360, 365, KAWIL_CYCLE]),
+        tun_haab_kawil=math.lcm(360, 365, KAWIL_CYCLE),
         aeon=400 * x0,
         grand_cycle=7 * 400 * x0,
     )
@@ -96,7 +96,7 @@ def verify_supernumber(c: DerivedConstants) -> Report:
     report.check(
         "cofactors LCM(P_i, Y)/Y",
         [29, 1, 1, 1, 19, 3, 59, 89, 37],
-        [lcm_many([p, y]) // y for p in CANONICAL_PERIODS],
+        [math.lcm(p, y) // y for p in CANONICAL_PERIODS],
     )
     report.check("N = Y * 3 * 19 * 29 * 37 * 59 * 89", c.n, y * 3 * 19 * 29 * 37 * 59 * 89)
     return report
@@ -109,8 +109,8 @@ def verify_xultun(c: DerivedConstants) -> Report:
     report.check("X_i / 56940", [6, 21, 31, 43], [x // XULTUN_UNIT for x in XULTUN])
     report.check("X_i divisible by 56940", [0, 0, 0, 0], [x % XULTUN_UNIT for x in XULTUN])
     report.check("gcd of the X_i", XULTUN_UNIT, math.gcd(*XULTUN))
-    report.check("56940 = LCM(365, 780)", XULTUN_UNIT, lcm_many([365, 780]))
-    report.check("X0 = LCM(260, 360, 365)", x0, lcm_many([260, 360, 365]))
+    report.check("56940 = LCM(365, 780)", XULTUN_UNIT, math.lcm(365, 780))
+    report.check("X0 = LCM(260, 360, 365)", x0, math.lcm(260, 360, 365))
     report.check("X0 = LR / 4", x0, LONG_ROUND // 4)
     report.check("X1 = 365 * 3276", x1, 365 * KAWIL_CYCLE)
     report.check("Y = LCM(360, 365, 3276) = 7 * X0", c.tun_haab_kawil, 7 * x0)
@@ -129,7 +129,7 @@ def verify_grand_cycle_division(c: DerivedConstants) -> Report:
     report.check(
         "N/37 = LCM of periods without pentalunex",
         n37,
-        lcm_many(CANONICAL_PERIODS[:-1]),
+        math.lcm(*CANONICAL_PERIODS[:-1]),
     )
     sum_x = sum(XULTUN)
     q, r = divmod(n37, c.grand_cycle)
@@ -169,24 +169,24 @@ def verify_aeon_identity(c: DerivedConstants) -> Report:
     report.check(
         "5A - 5X0 = LCM(X1+X2+X3, X1+2*X2+X3)",
         five_a - five_x0,
-        lcm_many([x1 + x2 + x3, x1 + 2 * x2 + x3]),
+        math.lcm(x1 + x2 + x3, x1 + 2 * x2 + x3),
     )
     report.check("5A = 5X0 + 570 * X1", five_a, five_x0 + 570 * x1)
     report.check("5A = 365 * Era", five_a, 365 * ERA)
     report.check("5A = 12000 * 56940", five_a, 12000 * XULTUN_UNIT)
     report.check("Era - 5X0", 163800, ERA - five_x0)
-    report.check("Era - 5X0 = 10 * LCM(260, 3276)", ERA - five_x0, 10 * lcm_many([260, KAWIL_CYCLE]))
-    report.check("A = LCM(260, 365, 144000)", c.aeon, lcm_many([260, 365, 144000]))
+    report.check("Era - 5X0 = 10 * LCM(260, 3276)", ERA - five_x0, 10 * math.lcm(260, KAWIL_CYCLE))
+    report.check("A = LCM(260, 365, 144000)", c.aeon, math.lcm(260, 365, 144000))
     report.check("A = 13 * 73 * 144000", c.aeon, 13 * 73 * 144000)
     report.check("A = 7200 * 18980", c.aeon, 7200 * CALENDAR_ROUND)
     # 37960 = LCM(260, 584) = 2 CR, the Venus commensuration with the Tzolk'in.
-    report.check("A = 3600 * 37960", c.aeon, 3600 * lcm_many([260, 584]))
+    report.check("A = 3600 * 37960", c.aeon, 3600 * math.lcm(260, 584))
     report.check("A = 2400 * 56940", c.aeon, 2400 * XULTUN_UNIT)
     report.check("A = 100 * LR", c.aeon, 100 * LONG_ROUND)
     report.check("GC = 7 * A", c.grand_cycle, 7 * c.aeon)
     report.check("GC = 511 * Era", c.grand_cycle, 511 * ERA)
-    report.check("GC = LCM(365, 3276, 144000)", c.grand_cycle, lcm_many([365, KAWIL_CYCLE, 144000]))
-    report.check("GC = LCM(260, 365, 3276, Era)", c.grand_cycle, lcm_many([260, 365, KAWIL_CYCLE, ERA]))
+    report.check("GC = LCM(365, 3276, 144000)", c.grand_cycle, math.lcm(365, KAWIL_CYCLE, 144000))
+    report.check("GC = LCM(260, 365, 3276, Era)", c.grand_cycle, math.lcm(260, 365, KAWIL_CYCLE, ERA))
     return report
 
 

@@ -12,7 +12,7 @@ from mayacal.arith import (
     decimal_str,
     factorize,
     is_prime,
-    lcm_many,
+    lcm_factorization,
     round_nearest,
 )
 
@@ -195,28 +195,28 @@ class TestGcd:
 
 class TestLcm:
     def test_calendar_round(self):
-        assert lcm_many([260, 365]) == 18980
+        assert lcm_factorization([260, 365]).value == 18980
 
     def test_supernumber(self):
-        assert lcm_many(NINE_PERIODS) == 768039133778280
+        assert lcm_factorization(NINE_PERIODS).value == 768039133778280
 
     def test_single_element(self):
-        assert lcm_many([365]) == 365
+        assert lcm_factorization([365]).value == 365
 
     def test_venus_mars(self):
-        assert lcm_many([584, 780]) == 113880
+        assert lcm_factorization([584, 780]).value == 113880
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            lcm_many([])
+            lcm_factorization([])
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            lcm_many([0, 5])
+            lcm_factorization([0, 5])
 
     def test_overflow_is_distinct_error(self):
         with pytest.raises(OverflowError):
-            lcm_many([2**62, 3**39])
+            lcm_factorization([2**62, 3**39])
 
 
 class TestCrt:
@@ -297,7 +297,7 @@ class TestDecimalStr:
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
 def test_lcm_gcd_product_identity(a, b):
-    assert lcm_many([a, b]) * math.gcd(a, b) == a * b
+    assert lcm_factorization([a, b]).value * math.gcd(a, b) == a * b
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -337,12 +337,13 @@ def test_crt_matches_brute_force(congruences):
 
 @given(st.permutations([116, 584, 365, 780, 399, 378, 177, 178, 148]))
 def test_lcm_order_independent(values):
-    assert lcm_many(values) == 768039133778280
+    assert lcm_factorization(values).value == 768039133778280
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6))
 def test_lcm_matches_pairwise_oracle(values):
-    assert lcm_many(values) == pairwise_lcm(values)
+    assert lcm_factorization(values).value == pairwise_lcm(values)
+    assert lcm_factorization(values).value == math.lcm(*values)
 
 
 @given(

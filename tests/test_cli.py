@@ -469,6 +469,8 @@ class TestGolden:
             ("factor_3276.txt", ["factor", "3276"]),
             ("lunar_table.txt", ["lunar", "table"]),
             ("cultural_dates.txt", ["table", "cultural-dates"]),
+            ("verify_all.json", ["--format", "json", "verify", "all"]),
+            ("lunar_search.json", ["--format", "json", "lunar", "search"]),
         ],
     )
     def test_pinned_output(self, run, name, argv):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -195,10 +196,8 @@ class TestEclipseCommensuration:
         assert report.ok, report.failures
 
     def test_values(self):
-        from mayacal.arith import lcm_many
-
-        assert lcm_many([260, 2392]) == 11960 == 5 * 2392
-        assert lcm_many([11960, 18980]) == 873080
+        assert math.lcm(260, 2392) == 11960 == 5 * 2392
+        assert math.lcm(11960, 18980) == 873080
         assert 873080 == 73 * 11960 == 365 * 2392 == 46 * 18980
 
 

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from mayacal.arith import lcm_factorization, lcm_many
+from mayacal.arith import lcm_factorization
 from mayacal.cycles import CALENDAR_ROUND, ERA, KAWIL_CYCLE
 from mayacal.supernumber import (
     CANONICAL_PERIODS,
@@ -33,7 +35,7 @@ class TestComputeSupernumber:
         assert factors.as_dict() == {}
 
     def test_venus_mars_pair(self):
-        assert lcm_many([584, 780]) == 2 * 56940 == 113880
+        assert math.lcm(584, 780) == 2 * 56940 == 113880
 
     def test_invalid_period(self):
         with pytest.raises(ValueError):
@@ -63,7 +65,7 @@ class TestSupernumberReport:
 
     def test_cofactor_list(self, constants):
         y = constants.tun_haab_kawil
-        cofactors = [lcm_many([p, y]) // y for p in CANONICAL_PERIODS]
+        cofactors = [math.lcm(p, y) // y for p in CANONICAL_PERIODS]
         assert cofactors == [29, 1, 1, 1, 19, 3, 59, 89, 37]
 
     def test_wheel_product_identity(self, constants):
@@ -107,19 +109,19 @@ class TestAeonIdentity:
 
     def test_xultun_sum_lcm(self):
         # 5A - 5X0 as an LCM over Xultun sums, checked by direct multiplication.
-        assert lcm_many([5409300, 7174440]) == 681571800
+        assert math.lcm(5409300, 7174440) == 681571800
         assert 5 * 136656000 - 5 * 341640 == 681571800
 
     def test_era_gap(self):
         assert 1872000 - 1708200 == 163800
-        assert 163800 == 10 * lcm_many([260, 3276])
+        assert 163800 == 10 * math.lcm(260, 3276)
 
     def test_five_aeon_as_eras(self):
         assert 5 * 136656000 == 683280000 == 365 * 1872000
 
     def test_aeon_closed_forms(self, constants):
-        assert constants.aeon == lcm_many([260, 365, 144000])
-        assert constants.grand_cycle == lcm_many([365, 3276, 144000])
+        assert constants.aeon == math.lcm(260, 365, 144000)
+        assert constants.grand_cycle == math.lcm(365, 3276, 144000)
         assert constants.aeon == 7200 * 18980 == 3600 * 37960 == 2400 * 56940
 
 
