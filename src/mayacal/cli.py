@@ -250,20 +250,20 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     if args.day is not None:
         if args.day < 0:
             raise UsageError(f"day must be non-negative, got {args.day}")
-        return OutputEnvelope.result("convert", _describe_day(args.day, constant))
+        return OutputEnvelope.result(args.command, _describe_day(args.day, constant))
 
     expr = parse(args.date)
     if expr.long_count is not None:
         day = expr.long_count.days
         if resolution(expr, (day, day)).inconsistent:
             return OutputEnvelope.error(
-                "convert",
+                args.command,
                 f"inconsistent date: {expr.long_count} is {cycle_date(day).calendar_round}",
                 input=args.date,
                 day=day,
             )
         payload = {"input": args.date, **_describe_day(day, constant)}
-        return OutputEnvelope.result("convert", payload)
+        return OutputEnvelope.result(args.command, payload)
 
     if args.window is None:
         raise UsageError("calendar-round dates recur every 18980 days; give --window LO..HI")
@@ -275,7 +275,7 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
         "count": (days[-1] - days[0]) // days.step + 1 if days else 0,  # len() stops at 2^63
         "matches": Rows(lambda d: _match_summary(d, constant), days),
     }
-    return OutputEnvelope.result("convert", payload)
+    return OutputEnvelope.result(args.command, payload)
 
 
 def cmd_verify(args, constant: CorrelationConstant) -> OutputEnvelope:
@@ -290,7 +290,7 @@ def cmd_verify(args, constant: CorrelationConstant) -> OutputEnvelope:
         "checks_total": len(checks),
         "checks_failed": failed,
     }
-    return OutputEnvelope.result("verify", payload, checks)
+    return OutputEnvelope.result(args.command, payload, checks)
 
 
 def _candidate_row(c: LunarCandidate) -> dict:
@@ -305,48 +305,50 @@ def _candidate_row(c: LunarCandidate) -> dict:
     }
 
 
-def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
+def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     n = derive_constants().n
-    if args.subcommand == "table":
-        rows = ratio_table(n)
-        payload_rows = []
-        for row in rows[:-1]:
-            entry = _candidate_row(row)
-            entry["error_rounded"] = round_nearest(row.error)
-            entry["source"] = TABLE_SOURCES[row.days]
-            payload_rows.append(entry)
-        modern = rows[-1]
-        payload = {
-            "supernumber": n,
-            "rows": payload_rows,
-            "modern": {
-                "ratio_decimal": decimal_str(modern.ratio, 6),
-                "error": str(modern.error),
-                "error_rounded": round_nearest(modern.error),
-            },
-        }
-        return OutputEnvelope.result("lunar table", payload, verify_ratio_table(n).checks)
+    rows = ratio_table(n)
+    payload_rows = []
+    for row in rows[:-1]:
+        entry = _candidate_row(row)
+        entry["error_rounded"] = round_nearest(row.error)
+        entry["source"] = TABLE_SOURCES[row.days]
+        payload_rows.append(entry)
+    modern = rows[-1]
+    payload = {
+        "supernumber": n,
+        "rows": payload_rows,
+        "modern": {
+            "ratio_decimal": decimal_str(modern.ratio, 6),
+            "error": str(modern.error),
+            "error_rounded": round_nearest(modern.error),
+        },
+    }
+    return OutputEnvelope.result(args.command, payload, verify_ratio_table(n).checks)
 
-    if args.subcommand == "search":
-        if args.max < 1:
-            raise UsageError(f"--max must be >= 1, got {args.max}")
-        result = search(n, max_lunations=args.max)
-        payload = {
-            "supernumber": n,
-            "max_lunations": args.max,
-            "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
-            "scanned": args.max,
-            "within_calendar_round": len(result.filtered),
-            "zero_error": [_candidate_row(c) for c in result.zero_error],
-            "minimal_nonzero": [_candidate_row(c) for c in result.minimal_nonzero],
-            "best": _candidate_row(result.best) if result.best else None,
-            "pareto": [_candidate_row(c) for c in result.pareto],
-        }
-        # The published-outcome checks only apply to the full 643-lunation scan.
-        checks = verify_search(result).checks if args.max == 643 else []
-        return OutputEnvelope.result("lunar search", payload, checks)
 
-    # age
+def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
+    if args.max < 1:
+        raise UsageError(f"--max must be >= 1, got {args.max}")
+    n = derive_constants().n
+    result = search(n, max_lunations=args.max)
+    payload = {
+        "supernumber": n,
+        "max_lunations": args.max,
+        "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
+        "scanned": args.max,
+        "within_calendar_round": len(result.filtered),
+        "zero_error": [_candidate_row(c) for c in result.zero_error],
+        "minimal_nonzero": [_candidate_row(c) for c in result.minimal_nonzero],
+        "best": _candidate_row(result.best) if result.best else None,
+        "pareto": [_candidate_row(c) for c in result.pareto],
+    }
+    # The published-outcome checks only apply to the full 643-lunation scan.
+    checks = verify_search(result).checks if args.max == 643 else []
+    return OutputEnvelope.result(args.command, payload, checks)
+
+
+def cmd_lunar_age(args, constant: CorrelationConstant) -> OutputEnvelope:
     lc = _parse_day_arg(args.lc, "--lc")
     lc0 = _parse_day_arg(args.lc0, "--lc0")
     ratio = _parse_ratio(args.ratio)
@@ -360,7 +362,7 @@ def cmd_lunar(args, constant: CorrelationConstant) -> OutputEnvelope:
         "age": str(age),
         "age_decimal": decimal_str(age, 6),
     }
-    return OutputEnvelope.result("lunar age", payload)
+    return OutputEnvelope.result(args.command, payload)
 
 
 def _parse_day_arg(text: str, flag: str) -> int:
@@ -399,7 +401,7 @@ def cmd_factor(args, constant: CorrelationConstant) -> OutputEnvelope:
         "factorization": str(factors),
         "factors": {str(p): m for p, m in factors.factors},
     }
-    return OutputEnvelope.result("factor", payload)
+    return OutputEnvelope.result(args.command, payload)
 
 
 def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
@@ -420,78 +422,57 @@ def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
                 "gregorian": str(corr.gregorian),
             }
         )
-    payload = {"table": "cultural-dates", "rows": rows}
-    return OutputEnvelope.result("table", payload, verify_cultural_dates(constants).checks)
+    payload = {"table": args.name, "rows": rows}
+    return OutputEnvelope.result(args.command, payload, verify_cultural_dates(constants).checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The shared flags are SUPPRESSed, so one given before the command
+    # survives the leaf parser that does not see it.
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
+                        help=f"output rendering (default text; ${FORMAT_ENV_VAR} overrides)")
+    output.add_argument("--correlation", type=int, default=argparse.SUPPRESS, metavar="JDN",
+                        help=f"JDN of day 0 (default {GMT_CORRELATION}, the GMT correlation)")
     parser = _Parser(
         prog="mayacal",
         description="Exact arithmetic for the Maya calendar: cycle conversions, "
         "super-number identities, lunar ratios, and civil-date correlation.",
+        parents=[output],
     )
-    _output_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", help="convert a date string or day number to every cycle")
+    def leaf(subparsers, name: str, handler, help: str) -> argparse.ArgumentParser:
+        # A command's name is its parser's prog without "mayacal ", as in _Parser.error.
+        p = subparsers.add_parser(name, help=help, parents=[output])
+        p.set_defaults(run=handler, command=p.prog.partition(" ")[2])
+        return p
+
+    p = leaf(sub, "convert", cmd_convert, "convert a date string or day number to every cycle")
     p.add_argument("date", nargs="?", help="Long Count (9.9.16.0.0), Calendar Round "
                    "(4 Ahau 8 Cumku), or combined date string")
     p.add_argument("--day", type=int, help="day number since creation")
     p.add_argument("--window", help="inclusive day range LO..HI for recurring dates")
-    _output_flags(p)
 
-    p = sub.add_parser("verify", help="run the identity suites")
+    p = leaf(sub, "verify", cmd_verify, "run the identity suites")
     p.add_argument("scope", nargs="?", default="all", choices=("all", *SUITES))
-    _output_flags(p)
 
     p = sub.add_parser("lunar", help="lunar ratio table, lunation search, Moon age")
     lunar_sub = p.add_subparsers(dest="subcommand", required=True)
-    t = lunar_sub.add_parser("table", help="attested lunar equations and their errors")
-    _output_flags(t)
-    s = lunar_sub.add_parser("search", help="scan lunar equations against the super-number")
-    s.add_argument("--max", type=int, default=643, help="largest lunation count to scan")
-    _output_flags(s)
-    a = lunar_sub.add_parser("age", help="days into the lunation at a date")
-    a.add_argument("--lc", required=True, help="date (day number or Long Count)")
-    a.add_argument("--lc0", required=True, help="new-Moon anchor (day number or Long Count)")
-    a.add_argument("--ratio", default="2392/81", help="Moon ratio DAYS/LUNATIONS")
-    _output_flags(a)
+    leaf(lunar_sub, "table", cmd_lunar_table, "attested lunar equations and their errors")
+    p = leaf(lunar_sub, "search", cmd_lunar_search, "scan lunar equations against the super-number")
+    p.add_argument("--max", type=int, default=643, help="largest lunation count to scan")
+    p = leaf(lunar_sub, "age", cmd_lunar_age, "days into the lunation at a date")
+    p.add_argument("--lc", required=True, help="date (day number or Long Count)")
+    p.add_argument("--lc0", required=True, help="new-Moon anchor (day number or Long Count)")
+    p.add_argument("--ratio", default="2392/81", help="Moon ratio DAYS/LUNATIONS")
 
-    p = sub.add_parser("factor", help="prime factorization of a positive integer")
+    p = leaf(sub, "factor", cmd_factor, "prime factorization of a positive integer")
     p.add_argument("n", type=int)
-    _output_flags(p)
 
-    p = sub.add_parser("table", help="emit a named table")
+    p = leaf(sub, "table", cmd_table, "emit a named table")
     p.add_argument("name", choices=("cultural-dates",))
-    _output_flags(p)
     return parser
-
-
-def _output_flags(parser: argparse.ArgumentParser, top: bool = False) -> None:
-    # Subparser copies use SUPPRESS so a flag before the subcommand survives.
-    default = None if top else argparse.SUPPRESS
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default=default,
-        help=f"output rendering (default text; ${FORMAT_ENV_VAR} overrides)",
-    )
-    parser.add_argument(
-        "--correlation",
-        type=int,
-        default=default,
-        metavar="JDN",
-        help=f"JDN of day 0 (default {GMT_CORRELATION}, the GMT correlation)",
-    )
-
-
-HANDLERS = {
-    "convert": cmd_convert,
-    "verify": cmd_verify,
-    "lunar": cmd_lunar,
-    "factor": cmd_factor,
-    "table": cmd_table,
-}
 
 
 def _output_format(asked: str | None) -> str:
@@ -538,15 +519,14 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         return _emit(OutputEnvelope.error(exc.command, str(exc)), _output_format(_asked_format(argv)))
 
-    correlation = args.correlation if args.correlation is not None else GMT_CORRELATION
     try:
-        constant = CorrelationConstant(correlation)
-        envelope = HANDLERS[args.command](args, constant)
+        constant = CorrelationConstant(getattr(args, "correlation", GMT_CORRELATION))
+        envelope = args.run(args, constant)
     except DateParseError as exc:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)
     except (UsageError, ValueError, OverflowError) as exc:
         envelope = OutputEnvelope.error(args.command, str(exc))
-    return _emit(envelope, _output_format(args.format))
+    return _emit(envelope, _output_format(getattr(args, "format", None)))
 
 
 if __name__ == "__main__":

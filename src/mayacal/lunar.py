@@ -114,20 +114,17 @@ class SearchResult(NamedTuple):
     filtered: tuple[LunarCandidate, ...]  # LCM(260, T0) < one Calendar Round
     zero_error: tuple[LunarCandidate, ...]  # filtered, epsilon = 0
     minimal_nonzero: tuple[LunarCandidate, ...]  # filtered, smallest epsilon > 0
-    best: LunarCandidate | None  # of minimal_nonzero, closest ratio to the target
-    pareto: tuple[LunarCandidate, ...]  # filtered, Pareto-optimal in (epsilon, |S - target|)
+    best: LunarCandidate | None  # of minimal_nonzero, closest ratio to the modern month S0
+    pareto: tuple[LunarCandidate, ...]  # filtered, Pareto-optimal in (epsilon, |S - S0|)
 
 
-def search(
-    n: int,
-    target: Fraction = MODERN_SYNODIC_MONTH,
-    max_lunations: int = 643,
-) -> SearchResult:
-    """Scan lunar equations i = 1..max_lunations with T0_i = Rd(i * target).
+def search(n: int, max_lunations: int = 643) -> SearchResult:
+    """Scan lunar equations i = 1..max_lunations with T0_i = Rd(i * S0).
 
-    Flags, among the candidates with LCM(260, T0) < 18980, the zero-error
-    set, the smallest-nonzero-error set, the member of that set closest to
-    the target ratio, and the full (error, |S - target|) Pareto front.
+    S0 is the modern synodic month, MODERN_SYNODIC_MONTH.  Flags, among the
+    candidates with LCM(260, T0) < 18980, the zero-error set, the
+    smallest-nonzero-error set, the member of that set closest to S0, and
+    the full (error, |S - S0|) Pareto front.
     Candidates are built up to the first T0 of at least one Calendar Round
     (T = 18988 at i = 643, the default bound): T0 only grows with i and
     LCM(260, T0) >= T0, so no later i can pass the filter.
@@ -136,7 +133,7 @@ def search(
         raise ValueError("max_lunations must be >= 1")
     candidates = []
     for i in range(1, max_lunations + 1):
-        days = round_nearest(i * target)
+        days = round_nearest(i * MODERN_SYNODIC_MONTH)
         candidates.append(candidate(n, days, i))
         if days >= CALENDAR_ROUND:
             break
@@ -149,14 +146,14 @@ def search(
     if nonzero:
         floor = min(c.error for c in nonzero)
         minimal = tuple(c for c in nonzero if c.error == floor)
-        best = min(minimal, key=lambda c: abs(c.ratio - target))
+        best = min(minimal, key=lambda c: abs(c.ratio - MODERN_SYNODIC_MONTH))
 
     pareto = tuple(
         c
         for c in filtered
         if not any(
-            (d.error <= c.error and abs(d.ratio - target) < abs(c.ratio - target))
-            or (d.error < c.error and abs(d.ratio - target) <= abs(c.ratio - target))
+            (d.error <= c.error and abs(d.ratio - MODERN_SYNODIC_MONTH) < abs(c.ratio - MODERN_SYNODIC_MONTH))
+            or (d.error < c.error and abs(d.ratio - MODERN_SYNODIC_MONTH) <= abs(c.ratio - MODERN_SYNODIC_MONTH))
             for d in filtered
         )
     )

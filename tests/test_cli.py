@@ -151,11 +151,31 @@ class TestExitCodes:
             "verify", {}, [Check("sabotaged", 1, 2, False)]
         )
         monkeypatch.setattr(cli, "cmd_verify", lambda args, constant: failing)
-        monkeypatch.setitem(cli.HANDLERS, "verify", cli.cmd_verify)
         code, out = run("verify", "eq1")
         assert code == 1
         assert "status: mismatch" in out
         assert "[FAIL] sabotaged: expected 1, got 2" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,command,unparsable",
+        [
+            (["lunar", "search", "--max", "0"], "lunar search", ["lunar", "search", "--max", "x"]),
+            (["lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", "0/5"], "lunar age", ["lunar", "age", "--lc", "5"]),
+            (["lunar", "age", "--lc", "0", "--lc0", "5"], "lunar age", ["lunar", "age", "--lc", "5"]),
+        ],
+        ids=["search-max-0", "age-ratio-0", "age-lc-before-lc0"],
+    )
+    def test_handler_error_names_full_command(self, run, fmt, argv, command, unparsable):
+        # A handler's error names its command as argparse's error for that command does.
+        assert json.loads(run("--format", "json", *unparsable)[1])["command"] == command
+        code, out = run("--format", fmt, *argv)
+        assert code == 2
+        if fmt == "json":
+            data = json.loads(out)
+            assert (data["command"], data["status"]) == (command, "error")
+        else:
+            assert out.startswith(f"command: {command}\nstatus: error\nerror: ")
 
     def test_envelope_exit_mapping(self):
         ok = OutputEnvelope.result("x", {})
@@ -455,8 +475,20 @@ class TestFormats:
         assert out.startswith("command: verify")
 
     def test_format_flag_after_subcommand(self, run):
-        _, out = run("verify", "eq1", "--format", "json")
-        assert json.loads(out)["status"] == "ok"
+        flags = ["--format", "json", "--correlation", "584285"]
+        for argv in (
+            ["verify", "eq1"],
+            ["convert", "9.9.16.0.0"],
+            ["lunar", "table"],
+            ["lunar", "search", "--max", "10"],
+            ["lunar", "age", "--lc", "9.16.15.0.0", "--lc0", "0"],
+            ["factor", "3276"],
+            ["table", "cultural-dates"],
+        ):
+            code, after = run(*argv, *flags)
+            assert (code, json.loads(after)["status"]) == (0, "ok"), argv
+            assert run(*flags, *argv) == (code, after), argv
+        assert json.loads(run("convert", "--day", "0", *flags)[1])["payload"]["correlation"] == 584285
 
 
 class TestGolden:
