@@ -12,9 +12,9 @@ lunation length T0 <= 18988, as the lunar search at the modern month stops
 at the first T0 >= 18980.
 
 Factorization covers every n up to 2**63 - 1 in milliseconds: trial division
-by the primes below ``TRIAL_BOUND`` (which alone factors every n below
-``TRIAL_BOUND**2``, and so every period in the model), then a deterministic
-Miller-Rabin test and Brent's variant of Pollard rho on what is left.
+by 2 and then odd d below ``TRIAL_BOUND`` (which alone factors every n below
+``TRIAL_BOUND**2``, and so every period in the model), then Miller-Rabin with
+12 bases, exact below psi_12, and Brent's variant of Pollard rho on the rest.
 """
 
 from __future__ import annotations
@@ -27,32 +27,18 @@ from typing import NamedTuple
 #: beyond this bound are reported as overflow, never wrapped.
 INT63_MAX = 2**63 - 1
 
-#: factorize trial-divides by the primes below this bound, so every n below
-#: its square is factored by trial division alone.
+#: factorize trial-divides by 2 and the odd numbers below this bound, so
+#: every n below its square is factored by trial division alone.
 TRIAL_BOUND = 1000
 
 #: Miller-Rabin bases: the first 12 primes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES_PRODUCT = math.prod(_MR_BASES)
 
-#: psi_k, the least odd composite that passes the strong test to the first k
-#: bases (Jaeschke, Math. Comp. 1993; Jiang & Deng, Math. Comp. 2014;
-#: Sorenson & Webster, Math. Comp. 2017).  Below psi_k those k bases decide
-#: primality exactly; psi_12 is about 3.2e23, far above the 63-bit bound.
-_MR_EXACT_BELOW = (
-    2047,
-    1373653,
-    25326001,
-    3215031751,
-    2152302898747,
-    3474749660383,
-    341550071728321,
-    341550071728321,
-    3825123056546413051,
-    3825123056546413051,
-    3825123056546413051,
-    318665857834031151167461,
-)
+#: psi_12, the least odd composite that passes the strong test to all 12
+#: bases (Jiang & Deng, Math. Comp. 2014).  Below it the bases decide
+#: primality exactly; it is about 3.2e23, far above the 63-bit bound.
+_MR_EXACT_BELOW = 318665857834031151167461
 
 #: Brent-Pollard rho steps whose differences share one gcd.
 _RHO_BATCH = 128
@@ -61,22 +47,18 @@ _RHO_BATCH = 128
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, exact for every n below psi_12.
 
-    Small prime divisors are ruled out first; each further base is tried
-    only while n is not yet below the bound that makes the bases so far
-    exact.  Integer arithmetic only.  Raises ValueError for n >= psi_12
-    (about 3.2e23), where 12 bases no longer decide primality.
+    An n up to 37 or sharing a factor with the bases is prime only if it is a
+    base; any other must pass the strong test to all 12 bases.  Integer
+    arithmetic only.  Raises ValueError for an n >= psi_12 (about 3.2e23) that
+    passes them all, as 12 bases no longer decide its primality.
     """
-    if n <= 37:
+    if n <= 37 or math.gcd(n, _MR_BASES_PRODUCT) != 1:
         return n in _MR_BASES
-    if math.gcd(n, _MR_BASES_PRODUCT) != 1:
-        return False
-    if n < 41 * 41:  # no prime factor up to 37, so none at all
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a, bound in zip(_MR_BASES, _MR_EXACT_BELOW):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x != 1 and x != n - 1:
             for _ in range(s - 1):
@@ -85,9 +67,9 @@ def is_prime(n: int) -> bool:
                     break
             else:
                 return False
-        if n < bound:
-            return True
-    raise ValueError(f"{n} is beyond the range where Miller-Rabin with 12 bases is exact")
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is beyond the range where Miller-Rabin with 12 bases is exact")
+    return True
 
 
 def checked_replace(record, /, **changes):
@@ -143,10 +125,11 @@ class Factorization(NamedTuple("Factorization", [("factors", tuple[tuple[int, in
 def factorize(n: int) -> Factorization:
     """Factor ``n`` exactly (1 <= n <= 2**63 - 1).
 
-    Trial division by 2, 3 and 6k +/- 1 below ``TRIAL_BOUND`` removes every
-    small prime; it alone factors every n below ``TRIAL_BOUND**2``, which
-    covers every period in the model.  A larger cofactor is prime by
+    Trial division by 2 and then by odd d below ``TRIAL_BOUND`` removes
+    every small prime; it alone factors every n below ``TRIAL_BOUND**2``,
+    which covers every period in the model.  A larger cofactor is prime by
     :func:`is_prime` or is split by Brent-Pollard rho, and each part again.
+    Each prime is divided out or proven, so the result is built with ``_make``.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
@@ -154,14 +137,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"{n} exceeds the 63-bit input bound")
     factors = []
     remaining = n
-    for p in (2, 3):
-        mult = 0
-        while remaining % p == 0:
-            remaining //= p
-            mult += 1
-        if mult:
-            factors.append((p, mult))
-    d = 5
+    d = 2
     while d * d <= remaining and d < TRIAL_BOUND:
         mult = 0
         while remaining % d == 0:
@@ -169,14 +145,14 @@ def factorize(n: int) -> Factorization:
             mult += 1
         if mult:
             factors.append((d, mult))
-        d += 2 if d % 6 == 5 else 4  # skip multiples of 2 and 3
+        d += 1 if d == 2 else 2
     # Every prime below d is divided out, so a cofactor below d*d is prime.
     if d * d > remaining > 1:
         factors.append((remaining, 1))
     elif remaining > 1:
         large = _large_prime_factors(remaining)
         factors += ((p, large.count(p)) for p in sorted(set(large)))
-    return Factorization(tuple(factors))
+    return Factorization._make((tuple(factors),))
 
 
 def _large_prime_factors(m: int) -> list[int]:
@@ -236,7 +212,7 @@ def lcm_factorization(values: list[int] | tuple[int, ...]) -> Factorization:
         for prime, mult in factorize(v).factors:
             if mult > merged.get(prime, 0):
                 merged[prime] = mult
-    result = Factorization(tuple(sorted(merged.items())))
+    result = Factorization._make((tuple(sorted(merged.items())),))
     if result.value > INT63_MAX:
         raise OverflowError(f"lcm {result.value} exceeds 2**63 - 1")
     return result

@@ -248,8 +248,6 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     if (args.date is None) == (args.day is None):
         raise UsageError("give exactly one of a date string or --day")
     if args.day is not None:
-        if args.day < 0:
-            raise UsageError(f"day must be non-negative, got {args.day}")
         return OutputEnvelope.result(args.command, _describe_day(args.day, constant))
 
     expr = parse(args.date)
@@ -457,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "verify", cmd_verify, "run the identity suites")
     p.add_argument("scope", nargs="?", default="all", choices=("all", *SUITES))
 
-    p = sub.add_parser("lunar", help="lunar ratio table, lunation search, Moon age")
+    p = sub.add_parser("lunar", help="lunar ratio table, lunation search, Moon age", parents=[output])
     lunar_sub = p.add_subparsers(dest="subcommand", required=True)
     leaf(lunar_sub, "table", cmd_lunar_table, "attested lunar equations and their errors")
     p = leaf(lunar_sub, "search", cmd_lunar_search, "scan lunar equations against the super-number")

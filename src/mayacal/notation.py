@@ -185,8 +185,6 @@ def parse(text: str) -> DateExpression:
     tzolkin = haab = None
     if tokens:
         tzolkin, haab = _parse_calendar_round(tokens, len(text))
-    elif long_count is None:
-        raise DateParseError("not a date string", 0)
     return DateExpression._make((long_count, tzolkin, haab, None))
 
 

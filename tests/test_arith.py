@@ -322,7 +322,9 @@ def test_factorize_is_multiplicative(a, b):
     merged = factorize(a).as_dict()
     for prime, mult in factorize(b).factors:
         merged[prime] = merged.get(prime, 0) + mult
-    assert factorize(a * b).as_dict() == merged
+    f = factorize(a * b)
+    assert f.as_dict() == merged
+    assert Factorization(f.factors) == f  # built without the checks, but passes them
 
 
 @given(
@@ -342,8 +344,10 @@ def test_lcm_order_independent(values):
 
 @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6))
 def test_lcm_matches_pairwise_oracle(values):
-    assert lcm_factorization(values).value == pairwise_lcm(values)
-    assert lcm_factorization(values).value == math.lcm(*values)
+    f = lcm_factorization(values)
+    assert f.value == pairwise_lcm(values)
+    assert f.value == math.lcm(*values)
+    assert Factorization(f.factors) == f
 
 
 @given(

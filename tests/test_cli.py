@@ -177,6 +177,28 @@ class TestExitCodes:
         else:
             assert out.startswith(f"command: {command}\nstatus: error\nerror: ")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,command,error",
+        [
+            (["convert", CREATION_CR, "--window", "5..3"], "convert",
+             "window must satisfy 0 <= lo <= hi, got '5..3'"),
+            (["lunar", "age", "--lc", "-5", "--lc0", "0"], "lunar age", "--lc must be non-negative, got -5"),
+            (["lunar", "age", "--lc", CREATION_CR, "--lc0", "0"], "lunar age",
+             f"--lc needs a day number or a Long Count date, got '{CREATION_CR}'"),
+            (["lunar", "age", "--lc", "9.16.15.0.0 1 Imix 0 Pop", "--lc0", "0"], "lunar age",
+             "--lc: '9.16.15.0.0 1 Imix 0 Pop' is not self-consistent"),
+        ],
+        ids=["window-reversed", "lc-negative", "lc-calendar-round", "lc-inconsistent"],
+    )
+    def test_rejected_flag_value(self, run, fmt, argv, command, error):
+        code, out = run("--format", fmt, *argv)
+        assert code == 2
+        if fmt == "json":
+            assert json.loads(out) == {"command": command, "status": "error", "payload": {"error": error}, "checks": []}
+        else:
+            assert out == f"command: {command}\nstatus: error\nerror: {error}\n"
+
     def test_envelope_exit_mapping(self):
         ok = OutputEnvelope.result("x", {})
         assert ok.exit_code == 0
@@ -488,6 +510,8 @@ class TestFormats:
             code, after = run(*argv, *flags)
             assert (code, json.loads(after)["status"]) == (0, "ok"), argv
             assert run(*flags, *argv) == (code, after), argv
+            if argv[0] == "lunar":  # the group takes the flags too
+                assert run("lunar", *flags, *argv[1:]) == (code, after), argv
         assert json.loads(run("convert", "--day", "0", *flags)[1])["payload"]["correlation"] == 584285
 
 
