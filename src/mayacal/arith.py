@@ -3,13 +3,15 @@
 Everything downstream (cycle conversions, the super-number identities, the
 lunar error function) is exact integer or rational arithmetic; floating
 point never enters an identity check.  Rationals are ``fractions.Fraction``
-(always in lowest terms, positive denominator).  Least common multiples are
-``math.lcm``, except the super-number N, the LCM of the nine canonical
-periods: :func:`lcm_factorization` merges their prime tables, so N is
-auditable against the factorization it came from.  No ``math.lcm`` call
-needs its 2**63 overflow check: every argument is a module constant, or a
-lunation length T0 <= 18988, as the lunar search at the modern month stops
-at the first T0 >= 18980.
+(always in lowest terms, positive denominator); :func:`round_nearest` and
+:func:`decimal_str` take an ``int`` or a ``Fraction`` and raise TypeError for
+anything else.  Least common multiples are ``math.lcm``, except the
+super-number N, the LCM of the nine canonical periods:
+:func:`lcm_factorization` merges their prime tables, so N is auditable
+against the factorization it came from.  No ``math.lcm`` call needs its
+2**63 overflow check: every argument is a module constant, or a lunation
+length T0 <= 18988, as the lunar search at the modern month stops at the
+first T0 >= 18980.
 
 Factorization covers every n up to 2**63 - 1 in milliseconds: trial division
 by 2 and then odd d below ``TRIAL_BOUND`` (which alone factors every n below
@@ -240,23 +242,29 @@ def crt(congruences: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> tup
 
 
 def round_nearest(r: Fraction | int) -> int:
-    """Nearest integer to ``r``; exact halves round away from zero."""
-    f = Fraction(r)
-    n, d = f.numerator, f.denominator
+    """Nearest integer to an ``int`` or a ``Fraction``; exact halves round away from zero.
+
+    Any other type, a float or a Decimal included, is a TypeError.
+    """
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"round_nearest takes an int or a Fraction, got {type(r).__name__}")
+    n, d = r.numerator, r.denominator
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((2 * -n + d) // (2 * d))
 
 
 def decimal_str(r: Fraction | int, places: int) -> str:
-    """Exact decimal rendering of a rational, rounded to ``places`` digits.
+    """Exact decimal rendering of an ``int`` or a ``Fraction``, rounded to ``places`` digits.
 
     Rounding matches :func:`round_nearest` (half away from zero) applied at
     the last printed digit, e.g. 4429/150 -> "29.526667" at 6 places.
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    scaled = round_nearest(Fraction(r) * 10**places)
+    if not isinstance(r, (int, Fraction)):  # a str or a list would be repeated 10**places times
+        raise TypeError(f"decimal_str takes an int or a Fraction, got {type(r).__name__}")
+    scaled = round_nearest(r * 10**places)
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**places)
     if places == 0:

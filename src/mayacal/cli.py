@@ -247,10 +247,12 @@ def _parse_window(text: str) -> tuple[int, int]:
 def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     if (args.date is None) == (args.day is None):
         raise UsageError("give exactly one of a date string or --day")
-    if args.day is not None:
+    expr = parse(args.date) if args.day is None else None
+    if args.window is not None and (expr is None or expr.long_count is not None):
+        raise UsageError("--window needs a Calendar Round date without a Long Count")
+    if expr is None:
         return OutputEnvelope.result(args.command, _describe_day(args.day, constant))
 
-    expr = parse(args.date)
     if expr.long_count is not None:
         day = expr.long_count.days
         if resolution(expr, (day, day)).inconsistent:

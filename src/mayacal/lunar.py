@@ -85,25 +85,13 @@ def ratio_table(n: int) -> list[LunarCandidate]:
     """The attested lunar equations plus the modern synodic month.
 
     For each attested table length T the lunation count is
-    L = Rd(T / 29.53); the modern row carries S = 29.530588 directly (its
-    error uses the same formula on the reduced numerator/denominator, which
-    leaves epsilon unchanged).
+    L = Rd(T / 29.53); the modern row is the equation S = 29.530588 in
+    lowest terms, whose epsilon is that of 29530588 days = 1000000 lunations.
     """
     month_estimate = Fraction(2953, 100)
-    rows = []
-    for days in TABLE_LENGTHS:
-        lunations = round_nearest(Fraction(days) / month_estimate)
-        rows.append(candidate(n, days, lunations))
-    modern = MODERN_SYNODIC_MONTH
-    rows.append(
-        LunarCandidate(
-            days=modern.numerator,
-            lunations=modern.denominator,
-            ratio=modern,
-            error=epsilon(n, modern.numerator, modern.denominator),
-            lcm260=None,  # not a whole-day table length; no Tzolk'in commensuration
-        )
-    )
+    rows = [candidate(n, days, round_nearest(days / month_estimate)) for days in TABLE_LENGTHS]
+    modern = MODERN_SYNODIC_MONTH  # not a whole-day table length: no Tzolk'in commensuration
+    rows.append(candidate(n, modern.numerator, modern.denominator)._replace(lcm260=None))
     return rows
 
 
@@ -139,23 +127,15 @@ def search(n: int, max_lunations: int = 643) -> SearchResult:
             break
 
     filtered = tuple(c for c in candidates if c.lcm260 < CALENDAR_ROUND)
+    # Each kept equation beside its point (epsilon, |S - S0|), computed once.
+    points = [(c, c.error, abs(c.ratio - MODERN_SYNODIC_MONTH)) for c in filtered]
     zero = tuple(c for c in filtered if c.error == 0)
-    nonzero = [c for c in filtered if c.error > 0]
-    minimal: tuple[LunarCandidate, ...] = ()
-    best = None
-    if nonzero:
-        floor = min(c.error for c in nonzero)
-        minimal = tuple(c for c in nonzero if c.error == floor)
-        best = min(minimal, key=lambda c: abs(c.ratio - MODERN_SYNODIC_MONTH))
-
+    floor = min((e for _, e, _ in points if e), default=None)
+    minimal = tuple(c for c, e, _ in points if e == floor)
+    best = min((p for p in points if p[1] == floor), key=lambda p: p[2], default=(None,))[0]
+    # On the front: no point other than an equal one is <= in both coordinates.
     pareto = tuple(
-        c
-        for c in filtered
-        if not any(
-            (d.error <= c.error and abs(d.ratio - MODERN_SYNODIC_MONTH) < abs(c.ratio - MODERN_SYNODIC_MONTH))
-            or (d.error < c.error and abs(d.ratio - MODERN_SYNODIC_MONTH) <= abs(c.ratio - MODERN_SYNODIC_MONTH))
-            for d in filtered
-        )
+        c for c, e, s in points if not any(f <= e and t <= s and (f, t) != (e, s) for _, f, t in points)
     )
     return SearchResult(
         candidates=tuple(candidates),

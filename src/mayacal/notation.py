@@ -135,12 +135,10 @@ def _parse_long_count(word: str, offset: int) -> LongCount:
     return LongCount._make(digits)
 
 
-def _parse_calendar_round(tokens: list[tuple[str, int]], text_len: int) -> tuple[TzolkinDate, HaabDate]:
+def _parse_calendar_round(tokens: list[tuple[str, int]]) -> tuple[TzolkinDate, HaabDate]:
     if len(tokens) < 4:
-        missing = text_len if not tokens else tokens[-1][1] + len(tokens[-1][0])
-        raise DateParseError(
-            "calendar round needs <number> <tzolkin-name> <day> <haab-month>", missing
-        )
+        last, at = tokens[-1]
+        raise DateParseError("calendar round needs <number> <tzolkin-name> <day> <haab-month>", at + len(last))
     (num_tok, num_at), (tz_tok, tz_at), (day_tok, day_at), (month_tok, month_at) = tokens[:4]
     if len(tokens) > 4:
         raise DateParseError(f"unexpected trailing text {tokens[4][0]!r}", tokens[4][1])
@@ -184,7 +182,7 @@ def parse(text: str) -> DateExpression:
 
     tzolkin = haab = None
     if tokens:
-        tzolkin, haab = _parse_calendar_round(tokens, len(text))
+        tzolkin, haab = _parse_calendar_round(tokens)
     return DateExpression._make((long_count, tzolkin, haab, None))
 
 
@@ -195,6 +193,8 @@ def era_display(day: int) -> str:
     completion of the previous era); larger multiples carry a multiplier,
     e.g. "365×13(0).0.0.0.0" for the 5 Aeon, which :func:`parse` reads back.
     """
+    if day < 0:
+        raise ValueError(f"day must be non-negative, got {day}")
     if day % ERA != 0:
         raise ValueError(f"{day} is not a multiple of the {ERA}-day era")
     k = day // ERA

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,11 @@ class TestRoundNearest:
         assert round_nearest(7) == 7
         assert round_nearest(Fraction(21, 3)) == 7
 
+    @pytest.mark.parametrize("value", [2.5, Decimal("2.5"), "7/2"], ids=["float", "Decimal", "str"])
+    def test_only_int_or_fraction(self, value):
+        with pytest.raises(TypeError, match=f"round_nearest takes an int or a Fraction, got {type(value).__name__}"):
+            round_nearest(value)
+
 
 class TestDecimalStr:
     def test_palenque_ratio(self):
@@ -293,6 +299,13 @@ class TestDecimalStr:
 
     def test_negative(self):
         assert decimal_str(Fraction(-1, 8), 3) == "-0.125"
+
+    def test_refused_arguments(self):
+        with pytest.raises(ValueError, match="places must be >= 0"):
+            decimal_str(1, -1)
+        for value in (2.5, Decimal("2.5"), "7/2"):
+            with pytest.raises(TypeError, match=f"takes an int or a Fraction, got {type(value).__name__}"):
+                decimal_str(value, 6)
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))

@@ -188,8 +188,13 @@ class TestExitCodes:
              f"--lc needs a day number or a Long Count date, got '{CREATION_CR}'"),
             (["lunar", "age", "--lc", "9.16.15.0.0 1 Imix 0 Pop", "--lc0", "0"], "lunar age",
              "--lc: '9.16.15.0.0 1 Imix 0 Pop' is not self-consistent"),
+            (["convert", "9.9.16.0.0", "--window", "0..5"], "convert",
+             "--window needs a Calendar Round date without a Long Count"),
+            (["convert", "--day", "5", "--window", "0..3"], "convert",
+             "--window needs a Calendar Round date without a Long Count"),
         ],
-        ids=["window-reversed", "lc-negative", "lc-calendar-round", "lc-inconsistent"],
+        ids=["window-reversed", "lc-negative", "lc-calendar-round", "lc-inconsistent", "window-long-count",
+             "window-day"],
     )
     def test_rejected_flag_value(self, run, fmt, argv, command, error):
         code, out = run("--format", fmt, *argv)
@@ -490,6 +495,15 @@ class TestFormats:
         monkeypatch.setenv("MAYACAL_FORMAT", "json")
         _, out = run("verify", "eq1")
         assert json.loads(out)["status"] == "ok"
+
+    def test_format_flag_without_value(self, run, monkeypatch):
+        # No format could be read from the command line, so the default applies.
+        error = "argument --format: expected one argument"
+        assert run("convert", "--format") == (2, f"command: convert\nstatus: error\nerror: {error}\n")
+        monkeypatch.setenv("MAYACAL_FORMAT", "json")
+        code, out = run("convert", "--format")
+        assert (code, json.loads(out)) == (2, {"command": "convert", "status": "error", "payload": {"error": error},
+                                               "checks": []})
 
     def test_flag_beats_env_var(self, run, monkeypatch):
         monkeypatch.setenv("MAYACAL_FORMAT", "json")

@@ -161,6 +161,8 @@ class TestCycleDate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             cycle_date(-1)
+        with pytest.raises(ValueError, match="day must be non-negative, got -1"):
+            long_count_from_day(-1)
 
 
 class TestCalendarRoundDay:

@@ -185,6 +185,9 @@ class TestFormat:
         assert era_display(956592000) == "511×13(0).0.0.0.0"
         with pytest.raises(ValueError):
             era_display(5)
+        for day in (-1872000, -3744000):
+            with pytest.raises(ValueError, match=f"day must be non-negative, got {day}"):
+                era_display(day)
 
 
 class TestResolve:

@@ -128,6 +128,12 @@ def test_validation_runs_however_a_record_is_built():
         LongCount(9, 9, 16, 0, 20)
     with pytest.raises(ValueError, match="correlation constant must be positive, got 0"):
         CorrelationConstant(jdn_at_creation=0)
+    with pytest.raises(ValueError, match="Haab' month index must be 0..18, got 19"):
+        HaabDate(0, 19)
+    with pytest.raises(ValueError, match="calendar must be 'julian' or 'gregorian', got 'mayan'"):
+        CivilDate(2000, 1, 1, "mayan")
+    with pytest.raises(ValueError, match="direction-color must be 0..3, got 4"):
+        DateExpression(kawil=(0, 4))
 
 
 # A field change each validating record refuses, with its constructor's message.
