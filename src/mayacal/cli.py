@@ -481,13 +481,20 @@ def _output_format(asked: str | None) -> str:
 
 
 def _asked_format(argv: list[str]) -> str | None:
-    """The ``--format`` value of a command line that failed to parse as a whole."""
-    parser = _Parser(add_help=False)
-    parser.add_argument("--format")
-    try:
-        return parser.parse_known_args(argv)[0].format
-    except UsageError:
-        return None
+    """The last well-formed ``--format X`` or ``--format=X`` (or an abbreviation
+    such as ``--form``, as argparse reads them) of a command line that failed
+    to parse as a whole; a flag with no format after it is passed over."""
+    asked = None
+    for i, arg in enumerate(argv):
+        if arg == "--":  # what follows is positional
+            break
+        flag, eq, value = arg.partition("=")
+        if len(flag) > 2 and "--format".startswith(flag):
+            if not eq:
+                value = argv[i + 1] if i + 1 < len(argv) else None
+            if value in FORMATS:
+                asked = value
+    return asked
 
 
 def _emit(envelope: OutputEnvelope, fmt: str) -> int:

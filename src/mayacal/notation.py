@@ -29,12 +29,15 @@ from .cycles import (
     KAWIL_DAYS,
     KAWIL_EPOCH,
     LONG_COUNT_DIGITS,
+    TZOLKIN_DAYS,
     TZOLKIN_EPOCH,
     TZOLKIN_NAMES,
     HaabDate,
     LongCount,
     TzolkinDate,
-    cycle_date,
+    haab_from_pos,
+    long_count_from_day,
+    tzolkin_from_pos,
 )
 
 _TZOLKIN_BY_NAME = {name.lower(): i for i, name in enumerate(TZOLKIN_NAMES)}
@@ -85,49 +88,78 @@ class Resolution(NamedTuple):
     inconsistent: bool  # Long Count in the window but another component disagreed
 
 
+class _TokenError(Exception):
+    """A parse error's message, the index of its word in the split text and its offset in that word.
+
+    :func:`parse` finds where the word starts only when it reports the error.
+    """
+
+
+def _read_int(token: str, what: str, index: int, shift: int = 0) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise _TokenError(f"{what} is too long: {len(token)} digits", index, shift) from None
+
+
 def read_int(token: str, what: str, at: int) -> int:
     """The value of the decimal digits ``token``, or a DateParseError at ``at``
     when it is longer than the interpreter converts (4300 digits by default)."""
     try:
-        return int(token)
-    except ValueError:
-        raise DateParseError(f"{what} is too long: {len(token)} digits", at) from None
+        return _read_int(token, what, 0)
+    except _TokenError as exc:
+        raise DateParseError(exc.args[0], at) from None
 
 
 def expression_from_day(day: int) -> DateExpression:
     """The full combined expression (Long Count + Calendar Round) of a day."""
-    cd = cycle_date(day)
-    return DateExpression._make((cd.long_count, cd.tzolkin, cd.haab, None))
+    return DateExpression._make((
+        long_count_from_day(day),
+        tzolkin_from_pos((day + TZOLKIN_EPOCH) % TZOLKIN_DAYS),
+        haab_from_pos((day + HAAB_EPOCH) % HAAB_DAYS),
+        None,
+    ))
 
 
-def _parse_baktun(lead: str, at: int) -> int:
+def _parse_baktun(lead: str) -> int:
     """Plain digits, or the era sugar 13(0) or k×13(0) that :func:`era_display` prints."""
     if lead.isdecimal():
-        return read_int(lead, "baktun", at)
+        return _read_int(lead, "baktun", 0)
     match = _LEADING_DIGIT.match(lead)
     if match is None:
-        raise DateParseError(f"bad long count digit {lead!r}", at)
+        raise _TokenError(f"bad long count digit {lead!r}", 0, 0)
     multiple, baktun, era = match.groups()
     if era is not None and baktun + era != "13(0)":
-        raise DateParseError(f"only 13(0) marks an era completion, got {lead!r}", at)
-    if multiple is not None and (era is None or read_int(multiple, "era multiple", at) < 2):
-        raise DateParseError(f"an era multiple is k×13(0) with k >= 2, got {lead!r}", at)
-    return read_int(baktun, "baktun", at) * int(multiple or 1)
+        raise _TokenError(f"only 13(0) marks an era completion, got {lead!r}", 0, 0)
+    if multiple is not None and (era is None or _read_int(multiple, "era multiple", 0) < 2):
+        raise _TokenError(f"an era multiple is k×13(0) with k >= 2, got {lead!r}", 0, 0)
+    return _read_int(baktun, "baktun", 0) * int(multiple or 1)
 
 
-def _parse_long_count(word: str, offset: int) -> LongCount:
+def _parse_long_count(word: str) -> LongCount:
+    """The Long Count written as the first word."""
     parts = word.split(".")
     if len(parts) != 5:
-        raise DateParseError(f"long count needs 5 dot-separated digits, got {len(parts)}", offset)
-    digits = [_parse_baktun(parts[0], offset)]
-    at = offset + len(parts[0]) + 1
-    out_of_range = None  # raised after the loop: a bad digit further on is reported first
+        raise _TokenError(f"long count needs 5 dot-separated digits, got {len(parts)}", 0, 0)
+    try:
+        baktun, katun, tun, winal, kin = map(int, parts)
+    except ValueError:  # era sugar, an empty part, a letter or too many digits
+        pass
+    else:
+        # int() also reads a sign or an underscore, which are not digits here.
+        if "".join(parts).isdecimal() and katun <= 19 and tun <= 19 and winal <= 17 and kin <= 19:
+            return LongCount._make((baktun, katun, tun, winal, kin))
+    # Digit by digit: era sugar, or the error to report.  A bad digit further
+    # on is reported before an out-of-range one.
+    digits = [_parse_baktun(parts[0])]
+    at = len(parts[0]) + 1
+    out_of_range = None
     for (name, limit), part in zip(LONG_COUNT_DIGITS[1:], parts[1:]):
         if not part.isdecimal():
-            raise DateParseError(f"bad long count digit {part!r}", at)
-        value = read_int(part, "long count digit", at)
+            raise _TokenError(f"bad long count digit {part!r}", 0, at)
+        value = _read_int(part, "long count digit", 0, at)
         if value > limit and out_of_range is None:
-            out_of_range = DateParseError(f"{name} {value} out of range 0..{limit}", at)
+            out_of_range = _TokenError(f"{name} {value} out of range 0..{limit}", 0, at)
         digits.append(value)
         at += len(part) + 1
     if out_of_range is not None:
@@ -135,54 +167,56 @@ def _parse_long_count(word: str, offset: int) -> LongCount:
     return LongCount._make(digits)
 
 
-def _parse_calendar_round(tokens: list[tuple[str, int]]) -> tuple[TzolkinDate, HaabDate]:
-    if len(tokens) < 4:
-        last, at = tokens[-1]
-        raise DateParseError("calendar round needs <number> <tzolkin-name> <day> <haab-month>", at + len(last))
-    (num_tok, num_at), (tz_tok, tz_at), (day_tok, day_at), (month_tok, month_at) = tokens[:4]
-    if len(tokens) > 4:
-        raise DateParseError(f"unexpected trailing text {tokens[4][0]!r}", tokens[4][1])
+def _parse_calendar_round(words: list[str], first: int) -> tuple[TzolkinDate, HaabDate]:
+    """The Calendar Round written as ``words[first:]``."""
+    count = len(words) - first
+    if count < 4:
+        raise _TokenError("calendar round needs <number> <tzolkin-name> <day> <haab-month>",
+                          len(words) - 1, len(words[-1]))
+    if count > 4:
+        raise _TokenError(f"unexpected trailing text {words[first + 4]!r}", first + 4, 0)
+    num_tok, tz_tok, day_tok, month_tok = words[first:]
 
     if not num_tok.isdecimal():
-        raise DateParseError(f"bad Tzolk'in number {num_tok!r}", num_at)
-    number = read_int(num_tok, "Tzolk'in number", num_at)
+        raise _TokenError(f"bad Tzolk'in number {num_tok!r}", first, 0)
+    number = _read_int(num_tok, "Tzolk'in number", first)
     if not 1 <= number <= 13:
-        raise DateParseError(f"Tzolk'in number {number} out of range 1..13", num_at)
+        raise _TokenError(f"Tzolk'in number {number} out of range 1..13", first, 0)
     tz_index = _TZOLKIN_BY_NAME.get(tz_tok.lower())
     if tz_index is None:
-        raise DateParseError(f"unknown Tzolk'in day name {tz_tok!r}", tz_at)
+        raise _TokenError(f"unknown Tzolk'in day name {tz_tok!r}", first + 1, 0)
 
     if not day_tok.isdecimal():
-        raise DateParseError(f"bad Haab' day {day_tok!r}", day_at)
-    day = read_int(day_tok, "Haab' day", day_at)
+        raise _TokenError(f"bad Haab' day {day_tok!r}", first + 2, 0)
+    day = _read_int(day_tok, "Haab' day", first + 2)
     month_index = _HAAB_BY_NAME.get(month_tok.lower())
     if month_index is None:
-        raise DateParseError(f"unknown Haab' month name {month_tok!r}", month_at)
+        raise _TokenError(f"unknown Haab' month name {month_tok!r}", first + 3, 0)
     try:
         haab = HaabDate(day, month_index)  # the day limit: 19, or 4 in the Uayeb
     except ValueError as exc:
-        raise DateParseError(str(exc), day_at) from None
+        raise _TokenError(str(exc), first + 2, 0) from None
     return TzolkinDate._make((number, tz_index)), haab
 
 
 def parse(text: str) -> DateExpression:
     """Parse a Long Count, Calendar Round, or combined date string."""
-    tokens, at = [], 0
-    for word in text.split():  # str.split and re's \S+ agree on what is whitespace
-        at = text.index(word, at)
-        tokens.append((word, at))
-        at += len(word)
-    if not tokens:
+    words = text.split()  # str.split and re's \S+ agree on what is whitespace
+    if not words:
         raise DateParseError("empty date string", 0)
-
-    long_count = None
-    if "." in tokens[0][0]:
-        long_count = _parse_long_count(tokens[0][0], tokens[0][1])
-        tokens = tokens[1:]
-
-    tzolkin = haab = None
-    if tokens:
-        tzolkin, haab = _parse_calendar_round(tokens)
+    long_count = tzolkin = haab = None
+    first = 0
+    try:
+        if "." in words[0]:
+            long_count, first = _parse_long_count(words[0]), 1
+        if len(words) > first:
+            tzolkin, haab = _parse_calendar_round(words, first)
+    except _TokenError as exc:
+        message, index, shift = exc.args
+        at = 0
+        for word in words[:index + 1]:
+            at = text.index(word, at) + len(word)
+        raise DateParseError(message, at - len(words[index]) + shift) from None
     return DateExpression._make((long_count, tzolkin, haab, None))
 
 
@@ -211,19 +245,21 @@ def format_date(expr: DateExpression, style: str = "plain") -> str:
         if style == "annotated" and long_count.days % ERA == 0:
             parts.append(era_display(long_count.days))
         else:
-            parts.append(str(long_count))
+            parts.append("{}.{}.{}.{}.{}".format(*long_count))
     if tzolkin is not None:
-        parts.append(str(tzolkin))
+        parts.append(f"{tzolkin[0]} {TZOLKIN_NAMES[tzolkin[1]]}")
     if haab is not None:
-        parts.append(str(haab))
+        parts.append(f"{haab[0]} {HAAB_MONTHS[haab[1]]}")
     return " ".join(parts)
 
 
 def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
     """All days in the inclusive window matching every present component.
 
-    Each cycle is a congruence on the day (the Tzolk'in two, one per wheel),
-    all joined by one :func:`crt`; a Long Count narrows the window to its own day.
+    Each cycle is a congruence on the day (the Tzolk'in two, one per wheel).
+    A Long Count names one day: the result is that day if it lies in the
+    window and meets every congruence, and none otherwise.  Without a Long
+    Count, one :func:`crt` joins the congruences.
     """
     lo, hi = window
     if not 0 <= lo <= hi:
@@ -241,13 +277,18 @@ def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
     if kawil is not None:
         count, color = kawil
         congruences.append((KAWIL_DAYS * color + count - KAWIL_EPOCH, KAWIL_CYCLE))
+
     if long_count is not None:
         day = long_count.days
-        lo, hi = max(lo, day), min(hi, day)  # lo > hi when the day is outside
+        if not lo <= day <= hi:
+            return Resolution(range(0), False)
+        for residue, modulus in congruences:
+            if (day - residue) % modulus:
+                return Resolution(range(0), True)
+        return Resolution(range(day, day + 1), False)
 
     solved = crt(congruences)
-    days = range(0)
-    if solved is not None:
-        base, period = solved
-        days = range(lo + (base - lo) % period, hi + 1, period)
-    return Resolution(days, long_count is not None and lo <= hi and not days)
+    if solved is None:
+        return Resolution(range(0), False)
+    base, period = solved
+    return Resolution(range(lo + (base - lo) % period, hi + 1, period), False)

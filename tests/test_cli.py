@@ -89,6 +89,20 @@ class TestExitCodes:
             else:
                 assert out.startswith(f"command: {command}\nstatus: error\nerror: argument "), asked_by
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--format", "json", "convert", "--format"], ["--format=json", "convert", "--format"]],
+        ids=["format-json", "format=json"],
+    )
+    def test_format_kept_past_a_bare_format(self, capsys, monkeypatch, argv):
+        # A later --format with no value does not undo the format asked for before it.
+        monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"command": "convert", "status": "error", "checks": [],
+                                   "payload": {"error": "argument --format: expected one argument"}}
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--format", "json", "verify", "--help"])

@@ -349,6 +349,35 @@ def test_resolution_matches_brute_force(case):
     assert found.inconsistent == (given_day_in_window and not expected)
 
 
+@st.composite
+def long_count_expressions_and_windows(draw):
+    # The Long Count is always there; every other component is absent, taken
+    # from its own day or from an unrelated day.  Windows are narrow, some of
+    # width 0, and some leave the Long Count's day out.
+    anchor = draw(st.integers(min_value=0, max_value=3 * 10**6))
+    sources = (None, cycle_date(anchor), cycle_date(draw(st.integers(min_value=0, max_value=3 * 10**6))))
+    t, h, k = (draw(st.sampled_from(sources)) for _ in range(3))
+    expr = DateExpression(
+        long_count=sources[1].long_count,
+        tzolkin=t and t.tzolkin,
+        haab=h and h.haab,
+        kawil=k and (k.kawil, k.direction_color),
+    )
+    width = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=300)))
+    lo = draw(st.integers(min_value=max(0, anchor - width - 30), max_value=anchor + 30))
+    return expr, (lo, lo + width)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_count_expressions_and_windows())
+def test_long_count_resolution_matches_brute_force(case):
+    expr, (lo, hi) = case
+    found = resolution(expr, (lo, hi))
+    expected = brute_resolution(expr, lo, hi)
+    assert tuple(found.days) == expected
+    assert found.inconsistent == (lo <= expr.long_count.days <= hi and not expected)
+
+
 @given(st.text(max_size=40))
 def test_parser_never_crashes(text):
     try:
@@ -378,6 +407,32 @@ def test_parser_rejects_uayeb_overflow(day):
     else:
         with pytest.raises(DateParseError):
             parse(text)
+
+
+WHITESPACE = (" ", "\t", "\u00a0", "\x1c", "\u3000")
+
+
+@given(
+    st.integers(min_value=0, max_value=10**12),
+    st.lists(st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3), min_size=4, max_size=4),
+    st.tuples(*[st.text(st.sampled_from(WHITESPACE), max_size=3)] * 2),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(("x", "?", "+", "\u00b2")),
+)
+def test_error_offset_is_the_bad_tokens_start(day, gaps, ends, bad, prefix):
+    # A prefix that is neither a digit nor whitespace spoils any of the five
+    # tokens of a full date at its first character.
+    tokens = format_date(expression_from_day(day)).split()
+    tokens[bad] = prefix + tokens[bad]
+    text, starts = ends[0], []
+    for gap, token in zip(["", *gaps], tokens):
+        text += gap
+        starts.append(len(text))
+        text += token
+    text += ends[1]
+    with pytest.raises(DateParseError) as exc:
+        parse(text)
+    assert exc.value.position == starts[bad]
 
 
 def test_expression_requires_component():
