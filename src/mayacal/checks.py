@@ -84,7 +84,3 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]

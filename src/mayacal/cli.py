@@ -102,6 +102,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self.prog.partition(" ")[2] or self.prog)
 
 
+def _integer(text: str) -> int:
+    """An integer flag: one optional '-', then decimal digits (``int`` also reads '+', '_' and spaces)."""
+    if not text.removeprefix("-").isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter converts
+        raise argparse.ArgumentTypeError(f"value is too long: {len(text)} digits") from None
+
+
 class OutputEnvelope:
     """One command result, rendered identically to text and JSON."""
 
@@ -432,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     output = _Parser(add_help=False)
     output.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
                         help=f"output rendering (default text; ${FORMAT_ENV_VAR} overrides)")
-    output.add_argument("--correlation", type=int, default=argparse.SUPPRESS, metavar="JDN",
+    output.add_argument("--correlation", type=_integer, default=argparse.SUPPRESS, metavar="JDN",
                         help=f"JDN of day 0 (default {GMT_CORRELATION}, the GMT correlation)")
     parser = _Parser(
         prog="mayacal",
@@ -451,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "convert", cmd_convert, "convert a date string or day number to every cycle")
     p.add_argument("date", nargs="?", help="Long Count (9.9.16.0.0), Calendar Round "
                    "(4 Ahau 8 Cumku), or combined date string")
-    p.add_argument("--day", type=int, help="day number since creation")
+    p.add_argument("--day", type=_integer, help="day number since creation")
     p.add_argument("--window", help="inclusive day range LO..HI for recurring dates")
 
     p = leaf(sub, "verify", cmd_verify, "run the identity suites")
@@ -461,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     lunar_sub = p.add_subparsers(dest="subcommand", required=True)
     leaf(lunar_sub, "table", cmd_lunar_table, "attested lunar equations and their errors")
     p = leaf(lunar_sub, "search", cmd_lunar_search, "scan lunar equations against the super-number")
-    p.add_argument("--max", type=int, default=643, help="largest lunation count to scan")
+    p.add_argument("--max", type=_integer, default=643, help="largest lunation count to scan")
     p = leaf(lunar_sub, "age", cmd_lunar_age, "days into the lunation at a date")
     p.add_argument("--lc", required=True, help="date (day number or Long Count)")
     p.add_argument("--lc0", required=True, help="new-Moon anchor (day number or Long Count)")
     p.add_argument("--ratio", default="2392/81", help="Moon ratio DAYS/LUNATIONS")
 
     p = leaf(sub, "factor", cmd_factor, "prime factorization of a positive integer")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
 
     p = leaf(sub, "table", cmd_table, "emit a named table")
     p.add_argument("name", choices=("cultural-dates",))

@@ -1,7 +1,9 @@
 import contextlib
+import importlib.metadata
 import io
 import json
 import os
+import runpy
 import select
 import subprocess
 import sys
@@ -26,6 +28,13 @@ CALENDAR_ROUND = 18980
 CREATION_CR = "4 Ahau 8 Cumku"  # day 0's Calendar Round, so its matches are the multiples of 18980
 TOO_LONG = "1" * 5000  # past the interpreter's default limit of 4300 digits for int()
 SRC = Path(cli.__file__).parents[1]
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a child interpreter that imports this checkout, with no format asked for."""
+    env = {k: v for k, v in os.environ.items() if k != cli.FORMAT_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
 
 
 class Full(Exception):
@@ -69,8 +78,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
         "argv,command",
-        [(["frobnicate"], "mayacal"), (["verify", "eq9"], "verify"), (["convert", "--day", "x"], "convert")],
-        ids=["frobnicate", "verify-eq9", "day-x"],
+        [(["frobnicate"], "mayacal"), (["verify", "eq9"], "verify"), (["convert", "--day", "x"], "convert"),
+         # Every integer flag reads one optional '-' and decimal digits, as --window and --lc do.
+         (["convert", "--day", "1_000"], "convert"), (["--correlation", "+584283", "verify"], "mayacal"),
+         (["lunar", "search", "--max", " 5"], "lunar search"), (["factor", "3_276"], "factor")],
+        ids=["frobnicate", "verify-eq9", "day-x", "day-underscore", "correlation-plus", "max-space",
+             "factor-underscore"],
     )
     def test_usage_error_from_argparse(self, capsys, monkeypatch, fmt, argv, command):
         for asked_by in ("flag", "env"):
@@ -104,10 +117,13 @@ class TestExitCodes:
                                    "payload": {"error": "argument --format: expected one argument"}}
 
     def test_help_still_exits_zero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--format", "json", "verify", "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: mayacal verify")
+        for command in ("convert", "verify", "lunar", "lunar table", "lunar search", "lunar age", "factor", "table"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--format", "json", *command.split(), "--help"])
+            out = capsys.readouterr().out
+            assert exc.value.code == 0, command
+            assert out.startswith(f"usage: mayacal {command}"), command
+            assert "--format" in out and "--correlation" in out, command  # the shared flags
 
     def test_parse_error(self, run):
         code, out = run("convert", "9.9.16.0")
@@ -145,8 +161,9 @@ class TestExitCodes:
             (["convert", CREATION_CR, "--window", f"0..{TOO_LONG}"], "window bound is too long: 5000 digits", None),
             (["lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", f"{TOO_LONG}/81"],
              "ratio term is too long: 5000 digits", None),
+            (["convert", "--day", TOO_LONG], "argument --day: value is too long: 5000 digits", None),
         ],
-        ids=["long-count", "calendar-round", "lc", "window", "ratio"],
+        ids=["long-count", "calendar-round", "lc", "window", "ratio", "day"],
     )
     def test_number_past_digit_limit(self, run, fmt, argv, error, position):
         code, out = run("--format", fmt, *argv)
@@ -366,6 +383,17 @@ class TestStreaming:
         assert f"\ncount: {count}\nmatches:\n  - day: 0\n" in sink.head
         assert "\n  - day: 18980\n" in sink.head
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status to read VmHWM from")
+    def test_grand_cycle_window_in_bounded_memory(self):
+        # The child reports its own peak RSS: Linux raises a child's ru_maxrss
+        # to its starter's high-water mark, so wait4 would report pytest's.
+        child = ("import sys; from mayacal.cli import main; code = main(sys.argv[1:]); sys.stderr.write("
+                 "open('/proc/self/status').read().partition('VmHWM:')[2].split()[0]); sys.exit(code)")
+        result = python("-c", child, "--format", "json", "convert", CREATION_CR, "--window", "0..956592000")
+        payload = json.loads(result.stdout)["payload"]
+        assert (result.returncode, payload["count"], len(payload["matches"])) == (0, 50401, 50401)
+        assert int(result.stderr) < 32 * 1024, f"peak RSS {int(result.stderr) / 1024:.1f} MiB"  # VmHWM is in kB
+
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_closed_pipe_exits_quietly(self, unbuffered):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
@@ -479,6 +507,8 @@ class TestFactor:
         code, out = run("factor", "2305843009213693951")
         assert code == 0
         assert "factorization: 2305843009213693951" in out
+        code, out = run("--format", "json", "factor", "9223372036854775783")  # the largest prime below 2^63
+        assert (code, json.loads(out)["payload"]["factors"]) == (0, {"9223372036854775783": 1})
 
     def test_out_of_range(self, run):
         assert run("factor", "0")[0] == 2
@@ -564,14 +594,29 @@ class TestGolden:
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "mayacal", "verify", "eclipse"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = python("-m", "mayacal", "verify", "eclipse")
     assert result.returncode == 0
     assert "status: ok" in result.stdout
+
+
+def test_console_script_entry_point():
+    # The `mayacal` command pip installs; where it is not installed, the declaration in pyproject.toml.
+    declared = [ep.value for ep in importlib.metadata.entry_points(group="console_scripts", name="mayacal")]
+    if not declared:
+        scripts = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8").partition("[project.scripts]\n")[2]
+        pairs = (line.partition("=") for line in scripts.partition("\n[")[0].splitlines())
+        declared = [value.strip(' "') for key, _, value in pairs if key.strip() == "mayacal"]
+    assert declared == ["mayacal.cli:main"]
+    module, _, name = declared[0].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+
+
+@pytest.mark.parametrize("flags", [[], ["--all"]], ids=["filtered", "all"])
+def test_lunar_search_script(capsys, monkeypatch, flags):
+    script = str(SRC.parent / "scripts" / "lunar_search.py")
+    monkeypatch.setattr(sys, "argv", [script, *flags])
+    runpy.run_path(script, run_name="__main__")
+    assert "scanned 643, kept 14" in capsys.readouterr().out.splitlines()
 
 
 class TestImportFootprint:
@@ -581,20 +626,14 @@ class TestImportFootprint:
 
     SUBMODULES = ("arith", "checks", "cycles", "notation", "correlation", "supernumber", "lunar", "cli")
 
-    @staticmethod
-    def _python(*args: str) -> subprocess.CompletedProcess:
-        env = {k: v for k, v in os.environ.items() if k != cli.FORMAT_ENV_VAR}
-        env["PYTHONPATH"] = str(SRC)
-        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
-
     def _imported(self, *args: str) -> set[str]:
         """Modules that ``python -X importtime <args>`` imports."""
-        result = self._python("-X", "importtime", *args)
+        result = python("-X", "importtime", *args)
         assert result.returncode == 0, result.stderr
         return {line.rpartition("|")[2].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
 
     def test_package_import(self):
-        result = self._python("-c", "import sys, mayacal, mayacal.cli; print(*sorted(sys.modules))")
+        result = python("-c", "import sys, mayacal, mayacal.cli; print(*sorted(sys.modules))")
         loaded = set(result.stdout.split())
         assert not {"dataclasses", "inspect"} & loaded
         assert {f"mayacal.{name}" for name in self.SUBMODULES} <= loaded

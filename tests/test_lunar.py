@@ -57,7 +57,7 @@ class TestEpsilon:
 class TestRatioTable:
     def test_report_passes(self):
         report = verify_ratio_table(N)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_lunation_counts(self):
         rows = ratio_table(N)[:-1]
@@ -90,7 +90,7 @@ class TestRatioTable:
 class TestPalenque:
     def test_report_passes(self):
         report = verify_palenque(N)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_exact_equation(self):
         assert 81 * N + 104 == 26008014145502 * 2392
@@ -106,7 +106,7 @@ class TestPalenque:
 class TestSearch:
     def test_report_passes(self):
         report = verify_search(search(N))
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_zero_error_set_is_exact(self):
         result = search(N)
@@ -193,7 +193,7 @@ class TestMoonAge:
 class TestEclipseCommensuration:
     def test_report_passes(self):
         report = eclipse_commensuration()
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_values(self):
         assert math.lcm(260, 2392) == 11960 == 5 * 2392

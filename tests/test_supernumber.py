@@ -57,7 +57,7 @@ class TestDeriveConstants:
 class TestSupernumberReport:
     def test_all_pass(self, constants):
         report = verify_supernumber(constants)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_divisibility_by_every_period(self, constants):
         for p in CANONICAL_PERIODS:
@@ -75,7 +75,7 @@ class TestSupernumberReport:
 class TestXultun:
     def test_all_pass(self, constants):
         report = verify_xultun(constants)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_unit_ratios(self):
         assert [x // XULTUN_UNIT for x in XULTUN] == [6, 21, 31, 43]
@@ -85,7 +85,7 @@ class TestXultun:
 class TestEuclidIdentities:
     def test_all_pass(self, constants):
         for report in (verify_grand_cycle_division(constants), verify_aeon_division(constants)):
-            assert report.ok, report.failures
+            assert report.ok, report
 
     def test_grand_cycle_remainder(self, constants):
         n37 = constants.n // 37
@@ -105,7 +105,7 @@ class TestEuclidIdentities:
 class TestAeonIdentity:
     def test_all_pass(self, constants):
         report = verify_aeon_identity(constants)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_xultun_sum_lcm(self):
         # 5A - 5X0 as an LCM over Xultun sums, checked by direct multiplication.
@@ -132,7 +132,7 @@ class TestCreationResidues:
 
     def test_all_pass(self, constants):
         report = creation_residues(constants)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_quotient_and_residues(self, constants):
         computed = self.computed(constants)
@@ -167,7 +167,7 @@ class TestCreationResidues:
 class TestCulturalDates:
     def test_all_pass(self, constants):
         report = verify_cultural_dates(constants)
-        assert report.ok, report.failures
+        assert report.ok, report
 
     def test_rows(self, constants):
         rows = {row.label: row for row in cultural_dates(constants)}
