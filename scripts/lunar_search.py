@@ -13,15 +13,18 @@ best nonzero one is marked as the winner.
 import argparse
 
 from mayacal.arith import decimal_str
+from mayacal.cli import _integer
 from mayacal.lunar import search
 from mayacal.supernumber import SUPER_NUMBER
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", type=int, default=643, help="largest lunation count")
+    parser.add_argument("--max", type=_integer, default=643, help="largest lunation count")
     parser.add_argument("--all", action="store_true", help="include filtered-out equations")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.max < 1:  # as `mayacal lunar search` reads the flag
+        parser.error(f"--max must be >= 1, got {args.max}")
 
     result = search(SUPER_NUMBER, max_lunations=args.max)
     shown = result.candidates if args.all else result.filtered

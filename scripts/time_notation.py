@@ -7,8 +7,10 @@ Each line is the best of 100 short ``timeit`` repeats, in microseconds per call,
 for the Long Round day 1366560 (9.9.16.0.0 4 Ahau 8 Cumku).  The host's
 noise only adds time, so the best repeat is the steadiest figure; compare
 two checkouts by running the script on each, in turn, a few times.  The
-last line is a whole day's round trip, the sequence that the benchmark's
-day-batch workload times for each day.
+"window row" lines are one match of a ``convert --window`` list, rendered
+as ``main`` renders it: a 1001-match window, timed whole and divided by its
+matches.  The last line is a whole day's round trip, the sequence that the
+benchmark's day-batch workload times for each day.
 """
 
 import timeit
@@ -19,6 +21,7 @@ from mayacal.cycles import cycle_date
 from mayacal.notation import expression_from_day, format_date, parse, resolution
 
 DAY = 1366560
+WINDOW_MATCHES = 1001  # the days 0, 18980, ..., 18980000 of 4 Ahau 8 Cumku
 
 
 def round_trip(day: int) -> None:
@@ -33,18 +36,23 @@ def round_trip(day: int) -> None:
 def main():
     expr = expression_from_day(DAY)
     text = format_date(expr)
+    argv = ["convert", "4 Ahau 8 Cumku", "--window", f"0..{18980 * (WINDOW_MATCHES - 1)}"]
+    window = cli.cmd_convert(cli.build_parser().parse_args(argv), GMT)
     calls = {
         "parse": lambda: parse(text),
         "format_date plain": lambda: format_date(expr, "plain"),
         "format_date annotated": lambda: format_date(expr, "annotated"),
         "resolution": lambda: resolution(expr, (DAY, DAY)),
         "expression_from_day": lambda: expression_from_day(DAY),
-        "cli._match_summary": lambda: cli._match_summary(DAY, GMT),  # one window row
+        "window row, text": lambda: "".join(window.render("text")),
+        "window row, json": lambda: "".join(window.render("json")),
         "day round trip": lambda: round_trip(DAY),
     }
     for name, call in calls.items():
         number = max(1, timeit.Timer(call).autorange()[0] // 20)
         best = min(timeit.repeat(call, number=number, repeat=100)) / number
+        if name.startswith("window row"):
+            best /= WINDOW_MATCHES
         print(f"{name:22} {best * 1e6:6.2f} us")
 
 

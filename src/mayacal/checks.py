@@ -4,36 +4,35 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
+from numbers import Number, Rational
 from typing import Any, NamedTuple
 
 
-class Rows(list):
-    """A list made lazily: ``row(key)`` for each of ``keys``, never held in memory whole.
+class Rows:
+    """Records made lazily and never held whole: ``row(key)`` gives, for each
+    of ``keys``, the values of ``fields`` in order, each an int or a str.
 
-    The list itself stays empty.  Iterating makes the rows, and truth asks
-    ``keys``.  ``json``'s pure-Python encoder, the one ``indent`` selects,
-    only tests ``not rows`` and iterates, so the rows stream through it.
-    There is no length: ``keys`` may be a range too long for ``len``.
+    Iterating yields each row as a dict, and truth asks ``keys``, which may be
+    a range too long for ``len``.  The renderers write ``row``'s values
+    through one template made from ``fields``.
     """
 
-    def __init__(self, row: Callable[[Any], dict], keys: Sequence) -> None:
-        super().__init__()
-        self.row, self.keys = row, keys
+    __slots__ = ("fields", "row", "keys")
+
+    def __init__(self, fields: tuple[str, ...], row: Callable[[Any], tuple], keys: Sequence) -> None:
+        self.fields, self.row, self.keys = fields, row, keys
 
     def __bool__(self) -> bool:
         return bool(self.keys)
 
-    def __len__(self) -> int:
-        raise TypeError("Rows has no length; count its keys")
-
-    def __iter__(self) -> Iterator[Any]:
-        return (jsonable(self.row(key)) for key in self.keys)
+    def __iter__(self) -> Iterator[dict]:
+        return (dict(zip(self.fields, values)) for values in map(self.row, self.keys))
 
 
 def jsonable(value: Any) -> Any:
     """Render exact values losslessly for machine output (Fractions as 'n/d')."""
     if isinstance(value, Rows):
-        return value  # each row is made jsonable as it is read
+        return value  # its rows hold only ints and strs
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if type(value) in (list, tuple):  # a record is a tuple too, but renders as its str
@@ -77,6 +76,10 @@ class Report:
         return type(other) is Report and (self.title, self.checks) == (other.title, other.checks)
 
     def check(self, name: str, expected: Any, computed: Any) -> Check:
+        """Record whether ``computed`` equals ``expected``; an inexact number in either is refused,
+        since ``Fraction(1, 2) == 0.5`` would let a float pass."""
+        if _inexact(expected) or _inexact(computed):
+            raise TypeError(f"check {name!r} compares an inexact value: expected {expected!r}, got {computed!r}")
         c = Check(name, expected, computed, expected == computed)
         self.checks.append(c)
         return c
@@ -84,3 +87,14 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+def _inexact(value: Any) -> bool:
+    """Whether ``value`` holds, at any depth, a number that is not rational (a float, complex or Decimal)."""
+    if isinstance(value, Number):
+        return not isinstance(value, Rational)
+    if isinstance(value, dict):
+        return any(_inexact(k) or _inexact(v) for k, v in value.items())
+    if isinstance(value, (tuple, list, set, frozenset)):  # a record is a tuple
+        return any(map(_inexact, value))
+    return False

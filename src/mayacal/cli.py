@@ -15,13 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from functools import partial
+from typing import Any
 
 from .arith import INT63_MAX, decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
-from .correlation import GMT_CORRELATION, CorrelationConstant, describe
-from .cycles import ERA, cycle_date
+from .correlation import GMT_CORRELATION, CorrelationConstant, _civil_fields, _civil_text, describe
+from .cycles import DIRECTION_COLORS, ERA, HAAB_MONTHS, TZOLKIN_NAMES, cycle_date
 from .lunar import (
     MODERN_SYNODIC_MONTH,
     TABLE_SOURCES,
@@ -154,8 +156,8 @@ class OutputEnvelope:
         """The ``fmt`` rendering ("text" or "json") in pieces, each made as it is read."""
         if fmt != "json":
             return self._text_pieces()
-        import json  # here, so that a text call never loads it
-        return json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(self.to_dict())
+        from json.encoder import encode_basestring  # here, so that a text call never loads json
+        return _json_pieces(self.to_dict(), encode_basestring)
 
     # Whole-string renderings.  main() streams render() instead, but
     # bench/tracer.py patches these two by name when it installs, so they stay.
@@ -185,17 +187,59 @@ def _text_lines(value: dict, indent: int = 0) -> Iterator[str]:
         if isinstance(item, dict):
             yield f"{pad}{key}:"
             yield from _text_lines(item, indent + 1)
-        elif item and (isinstance(item, Rows) or isinstance(item, list) and all(isinstance(i, dict) for i in item)):
+        elif isinstance(item, Rows) and item:
+            yield f"{pad}{key}:"  # then each row as a list entry below, one string of lines
+            template = f"{pad}  - " + f"\n{pad}    ".join(f"{field}: %s" for field in item.fields)
+            yield from map(template.__mod__, map(item.row, item.keys))
+        elif item and isinstance(item, list) and all(isinstance(i, dict) for i in item):
             yield f"{pad}{key}:"
             for entry in item:
                 first, *rest = _text_lines(entry, indent + 2)
                 yield f"{'  ' * (indent + 1)}- {first.lstrip()}"
                 yield from rest
-        elif isinstance(item, list):
+        elif isinstance(item, (list, Rows)):
             rendered = ", ".join(str(i) for i in item)
             yield f"{pad}{key}: [{rendered}]"
         else:
             yield f"{pad}{key}: {item}"
+
+
+def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> Iterator[str]:
+    """A :func:`jsonable` value in the pieces of what ``json.JSONEncoder(indent=2,
+    ensure_ascii=False)`` writes for it.  ``quote`` is ``json.encoder.encode_basestring``,
+    the quoting that encoder uses, and ``pad`` starts the lines of the value's level."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{inner}{quote(key)}: "
+            yield from _json_pieces(item, quote, inner)
+            sep = ","
+        yield pad + "}"
+    elif isinstance(value, list) and value:
+        sep = "["
+        for item in value:
+            yield sep + inner
+            yield from _json_pieces(item, quote, inner)
+            sep = ","
+        yield pad + "]"
+    elif isinstance(value, Rows) and value:
+        # Each row is an object one level in, written as the dict branch writes it.
+        entries = ",".join(f"{inner}  {quote(field)}: %s" for field in value.fields)
+        template = f"{inner}{{{entries}{inner}}}"
+        sep = "["
+        for values in map(value.row, value.keys):
+            yield sep + template % tuple([quote(v) if isinstance(v, str) else v for v in values])
+            sep = ","
+        yield pad + "]"
+    elif isinstance(value, str):
+        yield quote(value)
+    elif isinstance(value, (dict, list, Rows)):
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif value is None or value is True or value is False:
+        yield "null" if value is None else "true" if value else "false"
+    else:
+        yield int.__repr__(value)
 
 
 def _describe_day(day: int, constant: CorrelationConstant) -> dict:
@@ -227,18 +271,25 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
     return payload
 
 
-def _match_summary(day: int, constant: CorrelationConstant) -> dict:
-    cd = cycle_date(day)
-    corr = describe(day, constant)
-    return {
-        "day": day,
-        "long_count": str(cd.long_count),
-        "calendar_round": cd.calendar_round,
-        "kawil": cd.kawil,
-        "direction_color_name": cd.direction_color_name,
-        "jdn": corr.jdn,
-        "gregorian": str(corr.gregorian),
-    }
+#: The fields of a window match, in the order both formats write them.
+_MATCH_FIELDS = ("day", "long_count", "calendar_round", "kawil", "direction_color_name", "jdn", "gregorian")
+
+
+def _match_row(jdn_at_creation: int, day: int) -> tuple:
+    """The values of :data:`_MATCH_FIELDS` for a day, as the residues of
+    :func:`~mayacal.cycles.cycle_date` in closed form and the Gregorian date at its JDN."""
+    tzolkin = (day + 159) % 260  # zero-based ordinals: positions 160 and 349 at day 0
+    haab = (day + 348) % 365
+    jdn = day + jdn_at_creation
+    return (
+        day,
+        f"{day // 144000}.{day // 7200 % 20}.{day // 360 % 20}.{day // 20 % 18}.{day % 20}",
+        f"{tzolkin % 13 + 1} {TZOLKIN_NAMES[tzolkin % 20]} {haab % 20} {HAAB_MONTHS[haab // 20]}",
+        (day + 3) % 819,
+        DIRECTION_COLORS[(day + 3) // 819 % 4],
+        jdn,
+        _civil_text(*_civil_fields(jdn, "gregorian")),
+    )
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -283,7 +334,7 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
         "input": args.date,
         "window": f"{window[0]}..{window[1]}",
         "count": (days[-1] - days[0]) // days.step + 1 if days else 0,  # len() stops at 2^63
-        "matches": Rows(lambda d: _match_summary(d, constant), days),
+        "matches": Rows(_MATCH_FIELDS, partial(_match_row, constant.jdn_at_creation), days),
     }
     return OutputEnvelope.result(args.command, payload)
 
@@ -382,8 +433,8 @@ def _parse_day_arg(text: str, flag: str) -> int:
         if day < 0:
             raise UsageError(f"{flag} must be non-negative, got {day}")
         return day
-    expr = parse(text)
-    if expr.long_count is None:
+    expr = parse(text) if "." in text else None  # a Long Count has dots; the parser's errors name its form
+    if expr is None or expr.long_count is None:
         raise UsageError(f"{flag} needs a day number or a Long Count date, got {text!r}")
     day = expr.long_count.days
     if resolution(expr, (day, day)).inconsistent:

@@ -76,10 +76,17 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
     @property
     def year_display(self) -> str:
         """Era-style year: astronomical year -3113 displays as '3114 BC'."""
-        return f"{1 - self.year} BC" if self.year <= 0 else str(self.year)
+        return str(self).split(" ", 2)[2]
 
     def __str__(self) -> str:
-        return f"{self.day} {MONTH_NAMES[self.month - 1]} {self.year_display}"
+        return _civil_text(self.year, self.month, self.day)
+
+
+def _civil_text(year: int, month: int, day: int) -> str:
+    """The display of a civil date, with an era-style year: '11 August 3114 BC' for year -3113."""
+    if year <= 0:
+        return f"{day} {MONTH_NAMES[month - 1]} {1 - year} BC"
+    return f"{day} {MONTH_NAMES[month - 1]} {year}"
 
 
 def to_jdn(day: int, constant: CorrelationConstant = GMT) -> int:
@@ -93,22 +100,24 @@ def jdn_to_civil(jdn: int, calendar: Calendar) -> CivilDate:
     """Civil date at a Julian Day Number (proleptic in both calendars)."""
     if jdn < 0:
         raise ValueError(f"jdn must be non-negative, got {jdn}")
+    if calendar not in ("julian", "gregorian"):
+        raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
+    return CivilDate(*_civil_fields(jdn, calendar), calendar)
+
+
+def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int]:
+    """Year, month and day at a non-negative Julian Day Number, in a calendar :func:`jdn_to_civil` accepts."""
     if calendar == "gregorian":
         a = jdn + 32044
         b = (4 * a + 3) // 146097
         c = a - 146097 * b // 4
-    elif calendar == "julian":
+    else:
         b = 0
         c = jdn + 32082
-    else:
-        raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
     d = (4 * c + 3) // 1461
     e = c - 1461 * d // 4
     m = (5 * e + 2) // 153
-    day = e - (153 * m + 2) // 5 + 1
-    month = m + 3 - 12 * (m // 10)
-    year = 100 * b + d - 4800 + m // 10
-    return CivilDate(year=year, month=month, day=day, calendar=calendar)
+    return 100 * b + d - 4800 + m // 10, m + 3 - 12 * (m // 10), e - (153 * m + 2) // 5 + 1
 
 
 def civil_to_jdn(date: CivilDate) -> int:

@@ -8,17 +8,16 @@ import select
 import subprocess
 import sys
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mayacal import cli
 from mayacal.checks import Check, Rows
 from mayacal.cli import OutputEnvelope, main
-from mayacal.correlation import GMT_CORRELATION, CorrelationConstant
+from mayacal.correlation import GMT_CORRELATION, CorrelationConstant, describe
 from mayacal.cycles import cycle_date
 from mayacal.lunar import search
 
@@ -35,6 +34,30 @@ def python(*args: str) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if k != cli.FORMAT_ENV_VAR}
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def match_summary(day: int, constant: CorrelationConstant) -> dict:
+    """A window match built from the records, the reference for ``cli._match_row``."""
+    cd = cycle_date(day)
+    corr = describe(day, constant)
+    return {
+        "day": day,
+        "long_count": str(cd.long_count),
+        "calendar_round": cd.calendar_round,
+        "kawil": cd.kawil,
+        "direction_color_name": cd.direction_color_name,
+        "jdn": corr.jdn,
+        "gregorian": str(corr.gregorian),
+    }
+
+
+#: Values as ``jsonable`` makes them: None, bools, ints of any size, any text, and lists and dicts of them.
+JSONABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80) | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028é€𝄞", "\n\r\t\b\f"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
 
 
 class Full(Exception):
@@ -143,13 +166,16 @@ class TestExitCodes:
         assert code == 2 and "ratio must be DAYS/LUNATIONS" in out
         code, out = run("--format", "json", "lunar", "age", "--lc", "²", "--lc0", "0")
         assert code == 2
-        assert json.loads(out)["payload"]["position"] == 1
+        assert json.loads(out)["payload"] == {"error": "--lc needs a day number or a Long Count date, got '²'"}
+        code, out = run("--format", "json", "lunar", "age", "--lc", "9.².16.0.0", "--lc0", "0")
+        assert code == 2
+        assert json.loads(out)["payload"]["position"] == 2
         # Only one minus sign may precede the digits.
         code, out = run("convert", "4 Ahau 8 Cumku", "--window=--5..6")
         assert code == 2 and "window must be LO..HI, got '--5..6'" in out
         code, out = run("--format", "json", "lunar", "age", "--lc=--5", "--lc0", "0")
         assert code == 2
-        assert json.loads(out)["payload"]["position"] == 3
+        assert json.loads(out)["payload"] == {"error": "--lc needs a day number or a Long Count date, got '--5'"}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
@@ -217,6 +243,13 @@ class TestExitCodes:
             (["lunar", "age", "--lc", "-5", "--lc0", "0"], "lunar age", "--lc must be non-negative, got -5"),
             (["lunar", "age", "--lc", CREATION_CR, "--lc0", "0"], "lunar age",
              f"--lc needs a day number or a Long Count date, got '{CREATION_CR}'"),
+            # Text with no dot is no Long Count, whatever else int() would read in it.
+            (["lunar", "age", "--lc", "1_0", "--lc0", "0"], "lunar age",
+             "--lc needs a day number or a Long Count date, got '1_0'"),
+            (["lunar", "age", "--lc", "5", "--lc0", " 5"], "lunar age",
+             "--lc0 needs a day number or a Long Count date, got ' 5'"),
+            (["lunar", "age", "--lc", "+5", "--lc0", "0"], "lunar age",
+             "--lc needs a day number or a Long Count date, got '+5'"),
             (["lunar", "age", "--lc", "9.16.15.0.0 1 Imix 0 Pop", "--lc0", "0"], "lunar age",
              "--lc: '9.16.15.0.0 1 Imix 0 Pop' is not self-consistent"),
             (["convert", "9.9.16.0.0", "--window", "0..5"], "convert",
@@ -224,8 +257,8 @@ class TestExitCodes:
             (["convert", "--day", "5", "--window", "0..3"], "convert",
              "--window needs a Calendar Round date without a Long Count"),
         ],
-        ids=["window-reversed", "lc-negative", "lc-calendar-round", "lc-inconsistent", "window-long-count",
-             "window-day"],
+        ids=["window-reversed", "lc-negative", "lc-calendar-round", "lc-underscore", "lc0-space", "lc-plus",
+             "lc-inconsistent", "window-long-count", "window-day"],
     )
     def test_rejected_flag_value(self, run, fmt, argv, command, error):
         code, out = run("--format", fmt, *argv)
@@ -310,16 +343,19 @@ class TestConvert:
 
 class TestRows:
     def test_rows_render_like_a_list(self):
-        rows = [{"day": d, "half": Fraction(d, 2), "pair": (d, d)} for d in range(3)]
-        lazy = OutputEnvelope.result("x", {"rows": Rows(rows.__getitem__, range(3)), "none": Rows(str, range(0))})
-        eager = OutputEnvelope.result("x", {"rows": rows, "none": []})
+        fields = ("day", "half", "quoted")
+        rows = [(d, f"{d}/2", f'"{d}" \\ é\t') for d in range(3)]
+        lazy = OutputEnvelope.result("x", {"rows": Rows(fields, rows.__getitem__, range(3)),
+                                           "none": Rows(fields, rows.__getitem__, range(0))})
+        eager = OutputEnvelope.result("x", {"rows": [dict(zip(fields, row)) for row in rows], "none": []})
+        assert list(lazy.payload["rows"]) == eager.payload["rows"]
         assert lazy.to_text() == eager.to_text()
-        assert lazy.to_json() == eager.to_json()
+        assert lazy.to_json() == eager.to_json() == json.dumps(eager.to_dict(), indent=2, ensure_ascii=False)
 
     def test_window_matches_are_made_while_rendering(self, monkeypatch):
         made = []
-        summary = cli._match_summary
-        monkeypatch.setattr(cli, "_match_summary", lambda d, c: made.append(d) or summary(d, c))
+        row = cli._match_row
+        monkeypatch.setattr(cli, "_match_row", lambda c, d: made.append(d) or row(c, d))
         args = cli.build_parser().parse_args(["convert", "4 Ahau 8 Cumku", "--window", "0..40000"])
         envelope = cli.cmd_convert(args, GMT)
         assert envelope.payload["count"] == 3
@@ -343,6 +379,27 @@ class TestRows:
         assert streamed["json"] == json.dumps(materialised, indent=2, ensure_ascii=False) + "\n"
         assert streamed["text"] == OutputEnvelope.result("convert", payload).to_text() + "\n"
 
+    @settings(max_examples=60, deadline=None)
+    @given(day=st.integers(0, CALENDAR_ROUND - 1), lo=st.integers(0, 10**15), width=st.integers(0, 10**6),
+           correlation=st.integers(1, 10**9))
+    @example(day=0, lo=0, width=10**6, correlation=GMT_CORRELATION)  # years BC
+    @example(day=0, lo=10**15, width=10**6, correlation=10**9)  # years past 9999
+    def test_rows_match_the_records(self, day, lo, width, correlation):
+        argv = ["convert", cycle_date(day).calendar_round, "--window", f"{lo}..{lo + width}"]
+        constant = CorrelationConstant(correlation)
+        envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), constant)
+        rows = envelope.payload["matches"]
+        reference = OutputEnvelope.result("convert", {
+            **envelope.payload, "matches": [match_summary(d, constant) for d in rows.keys]})
+        assert envelope.to_text() == reference.to_text()
+        assert envelope.to_json() == json.dumps(reference.to_dict(), indent=2, ensure_ascii=False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=JSONABLE)
+    def test_json_writer_is_the_stdlib_encoder(self, value):
+        written = "".join(cli._json_pieces(value, json.encoder.encode_basestring))
+        assert written == json.dumps(value, indent=2, ensure_ascii=False)
+
 
 class TestStreaming:
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -350,7 +407,7 @@ class TestStreaming:
         rows = 200_000
         # The cheapest row, so that the test measures rendering rather than the
         # calendar: tracemalloc makes every allocation several times slower.
-        monkeypatch.setattr(cli, "_match_summary", lambda d, c: {"day": d})
+        monkeypatch.setattr(cli, "_match_row", lambda c, d: (d,) * len(cli._MATCH_FIELDS))
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -617,6 +674,18 @@ def test_lunar_search_script(capsys, monkeypatch, flags):
     monkeypatch.setattr(sys, "argv", [script, *flags])
     runpy.run_path(script, run_name="__main__")
     assert "scanned 643, kept 14" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("value,error", [("1_0", "argument --max: invalid int value: '1_0'"),
+                                         ("0", "--max must be >= 1, got 0")], ids=["underscore", "zero"])
+def test_lunar_search_script_reads_max_as_the_cli_does(capsys, value, error):
+    script = runpy.run_path(str(SRC.parent / "scripts" / "lunar_search.py"))
+    with pytest.raises(SystemExit) as exc:
+        script["main"](["--max", value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {error}\n")
+    assert main(["lunar", "search", "--max", value]) == 2
+    assert f"error: {error}\n" in capsys.readouterr().out
 
 
 class TestImportFootprint:

@@ -2,11 +2,15 @@
 ``Fraction(1, 2) == 0.5``, so a float that reached an identity check would pass it."""
 
 import ast
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import mayacal
+from mayacal.checks import Report
+from mayacal.cycles import LongCount
 
 EXACT_MATH = {"lcm", "gcd", "isqrt", "prod"}
 
@@ -32,3 +36,19 @@ def test_walk_finds_each_form():
 @pytest.mark.parametrize("path", sorted(Path(mayacal.__file__).parent.rglob("*.py")), ids=lambda p: p.name)
 def test_source_is_exact(path):
     assert inexact(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "inexact_value",
+    [0.5, 1j, Decimal("0.5"), (1, 0.5), [Fraction(1, 2), [0.5]], {"k": 0.5}, {0.5: "v"},
+     LongCount(9, 9, 16, 0, 0.0)],
+    ids=["float", "complex", "decimal", "tuple", "nested-list", "dict-value", "dict-key", "record"],
+)
+def test_checks_refuse_inexact_values(inexact_value):
+    report = Report("exact")
+    for expected, computed in ((inexact_value, Fraction(1, 2)), (Fraction(1, 2), inexact_value)):
+        with pytest.raises(TypeError, match="check 'half' compares an inexact value"):
+            report.check("half", expected, computed)
+    assert report.checks == []
+    exact = ((1, Fraction(1, 2)), [True, "0.5"], {"k": (2, None)}, LongCount(9, 9, 16, 0, 0))
+    assert report.check("exact", exact, exact).passed
