@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one day's round trip through the notation layer, call by call.
+"""Time one day's round trip through cycles, correlation and notation, call by call.
 
 Usage: PYTHONPATH=src python3 scripts/time_notation.py
 
@@ -39,6 +39,8 @@ def main():
     argv = ["convert", "4 Ahau 8 Cumku", "--window", f"0..{18980 * (WINDOW_MATCHES - 1)}"]
     window = cli.cmd_convert(cli.build_parser().parse_args(argv), GMT)
     calls = {
+        "cycle_date": lambda: cycle_date(DAY),
+        "describe": lambda: describe(DAY),
         "parse": lambda: parse(text),
         "format_date plain": lambda: format_date(expr, "plain"),
         "format_date annotated": lambda: format_date(expr, "annotated"),

@@ -6,13 +6,14 @@ never diverge.  A bad command line gets an envelope too, in the format that
 ``--format`` or ``$MAYACAL_FORMAT`` asks for.  The envelope is written to
 stdout as it is made, so a window of millions of matches streams in bounded
 memory, and a call killed part-way leaves a truncated document.  Exit codes:
-0 success, 1 verification mismatch, 2 usage or parse error, 120 stdout
-closed by its reader (as in ``mayacal ... | head``).
+0 success, 1 verification mismatch, 2 usage or parse error, 3 a fault in
+mayacal, 120 stdout closed by its reader (as in ``mayacal ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -22,8 +23,9 @@ from typing import Any
 
 from .arith import INT63_MAX, decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
-from .correlation import GMT_CORRELATION, CorrelationConstant, _civil_fields, _civil_text, describe
-from .cycles import DIRECTION_COLORS, ERA, HAAB_MONTHS, TZOLKIN_NAMES, cycle_date
+from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
+from .cycles import (BAKTUN, CALENDAR_ROUND, DIRECTION_COLORS, ERA, HAAB_DAYS, HAAB_EPOCH, HAAB_MONTHS, KATUN,
+                     KAWIL_CYCLE, KAWIL_DAYS, KAWIL_EPOCH, TUN, TZOLKIN_EPOCH, TZOLKIN_NAMES, WINAL, cycle_date)
 from .lunar import (
     MODERN_SYNODIC_MONTH,
     TABLE_SOURCES,
@@ -38,6 +40,8 @@ from .lunar import (
 )
 from .notation import DateParseError, era_display, parse, read_int, resolution
 from .supernumber import (
+    LONG_ROUND,
+    XULTUN,
     creation_residues,
     cultural_dates,
     derive_constants,
@@ -55,6 +59,9 @@ FORMATS = ("text", "json")
 #: Exit code when stdout's reader has gone; the interpreter uses it too
 #: when flushing stdout fails at exit.
 BROKEN_PIPE_EXIT = 120
+
+#: Exit code of an unexpected exception in a command, a fault in mayacal itself.
+FAULT_EXIT = 3
 
 #: Characters joined per write: each write is a syscall when stdout is
 #: unbuffered (``PYTHONUNBUFFERED``), and a bounded batch keeps memory flat.
@@ -76,16 +83,16 @@ SUITES = {
 #: Days the model names; convert identifies them in its output.
 NAMED_DAYS = {
     0: "mythical date of creation",
-    341640: "first Xultun number (X0)",
-    1195740: "second Xultun number (X1)",
-    1366560: "Long Round (Dresden Codex Venus table)",
-    1708200: "date of the Itza prophecy (5*X0)",
-    1765140: "third Xultun number (X2)",
+    XULTUN[0]: "first Xultun number (X0)",
+    XULTUN[1]: "second Xultun number (X1)",
+    LONG_ROUND: "Long Round (Dresden Codex Venus table)",
+    5 * XULTUN[0]: "date of the Itza prophecy (5*X0)",
+    XULTUN[2]: "third Xultun number (X2)",
     ERA: "end of the 13 Baktun Era",
-    2448420: "fourth Xultun number (X3)",
-    136656000: "Maya Aeon",
-    683280000: "end of the 5 Maya Aeon",
-    956592000: "end of the Maya grand cycle",
+    XULTUN[3]: "fourth Xultun number (X3)",
+    math.lcm(ERA, CALENDAR_ROUND): "Maya Aeon",
+    5 * math.lcm(ERA, CALENDAR_ROUND): "end of the 5 Maya Aeon",
+    math.lcm(ERA, CALENDAR_ROUND, KAWIL_CYCLE): "end of the Maya grand cycle",
 }
 
 
@@ -142,7 +149,8 @@ class OutputEnvelope:
 
     @property
     def exit_code(self) -> int:
-        return {"ok": 0, "mismatch": 1}.get(self.status, 2)
+        # An error that records where an exception was raised is a fault of mayacal, not of the input.
+        return {"ok": 0, "mismatch": 1}.get(self.status, FAULT_EXIT if "raised_at" in self.payload else 2)
 
     def to_dict(self) -> dict:
         return {
@@ -245,7 +253,7 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
 def _describe_day(day: int, constant: CorrelationConstant) -> dict:
     cd = cycle_date(day)
     corr = describe(day, constant)
-    payload = {
+    return {
         "day": day,
         "long_count": str(cd.long_count),
         "tzolkin": str(cd.tzolkin),
@@ -255,20 +263,13 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
         "kawil": cd.kawil,
         "direction_color": cd.direction_color,
         "direction_color_name": cd.direction_color_name,
+        **({"long_count_annotated": era_display(day)} if day % ERA == 0 else {}),
+        **({"identity": NAMED_DAYS[day]} if day in NAMED_DAYS else {}),
+        "correlation": constant.jdn_at_creation,
+        "jdn": corr.jdn,
+        "julian": str(corr.julian),
+        "gregorian": str(corr.gregorian),
     }
-    if day % ERA == 0:
-        payload["long_count_annotated"] = era_display(day)
-    if day in NAMED_DAYS:
-        payload["identity"] = NAMED_DAYS[day]
-    payload.update(
-        {
-            "correlation": constant.jdn_at_creation,
-            "jdn": corr.jdn,
-            "julian": str(corr.julian),
-            "gregorian": str(corr.gregorian),
-        }
-    )
-    return payload
 
 
 #: The fields of a window match, in the order both formats write them.
@@ -276,19 +277,20 @@ _MATCH_FIELDS = ("day", "long_count", "calendar_round", "kawil", "direction_colo
 
 
 def _match_row(jdn_at_creation: int, day: int) -> tuple:
-    """The values of :data:`_MATCH_FIELDS` for a day, as the residues of
-    :func:`~mayacal.cycles.cycle_date` in closed form and the Gregorian date at its JDN."""
-    tzolkin = (day + 159) % 260  # zero-based ordinals: positions 160 and 349 at day 0
-    haab = (day + 348) % 365
+    """The values of :data:`_MATCH_FIELDS` for a day: the closed form of :func:`~mayacal.cycles.cycle_date`,
+    written out from its constants (a call alone costs 5-8% of a rendered row), and the Gregorian date at its JDN."""
+    tzolkin = day + TZOLKIN_EPOCH - 1  # zero-based ordinals; 13 and 20 divide the 260 days
+    haab = (day + HAAB_EPOCH - 1) % HAAB_DAYS
+    kawil = day + KAWIL_EPOCH
     jdn = day + jdn_at_creation
     return (
         day,
-        f"{day // 144000}.{day // 7200 % 20}.{day // 360 % 20}.{day // 20 % 18}.{day % 20}",
+        f"{day // BAKTUN}.{day // KATUN % 20}.{day // TUN % 20}.{day // WINAL % 18}.{day % WINAL}",
         f"{tzolkin % 13 + 1} {TZOLKIN_NAMES[tzolkin % 20]} {haab % 20} {HAAB_MONTHS[haab // 20]}",
-        (day + 3) % 819,
-        DIRECTION_COLORS[(day + 3) // 819 % 4],
+        kawil % KAWIL_DAYS,
+        DIRECTION_COLORS[kawil // KAWIL_DAYS % 4],
         jdn,
-        _civil_text(*_civil_fields(jdn, "gregorian")),
+        gregorian_display(jdn),
     )
 
 
@@ -469,7 +471,6 @@ def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     constants = derive_constants()
     rows = []
     for row in cultural_dates(constants):
-        corr = describe(row.day, constant)
         rows.append(
             {
                 "label": row.label,
@@ -480,7 +481,7 @@ def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
                 "kawil": row.cycle.kawil,
                 "direction_color_name": row.cycle.direction_color_name,
                 "position": list(row.position),
-                "gregorian": str(corr.gregorian),
+                "gregorian": gregorian_display(row.day + constant.jdn_at_creation),
             }
         )
     payload = {"table": args.name, "rows": rows}
@@ -594,6 +595,11 @@ def main(argv: list[str] | None = None) -> int:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)
     except (UsageError, ValueError, OverflowError) as exc:
         envelope = OutputEnvelope.error(args.command, str(exc))
+    except Exception as exc:  # KeyboardInterrupt, SystemExit and a caller's time cap are BaseExceptions and pass
+        from traceback import extract_tb  # here, so that a call without a fault never loads it
+        frame = extract_tb(exc.__traceback__)[-1]
+        envelope = OutputEnvelope.error(args.command, f"{type(exc).__name__}: {exc}",
+                                        raised_at=f"{os.path.basename(frame.filename)}:{frame.lineno}")
     return _emit(envelope, _output_format(getattr(args, "format", None)))
 
 

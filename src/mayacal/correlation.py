@@ -89,6 +89,11 @@ def _civil_text(year: int, month: int, day: int) -> str:
     return f"{day} {MONTH_NAMES[month - 1]} {year}"
 
 
+def gregorian_display(jdn: int) -> str:
+    """``str(jdn_to_civil(jdn, "gregorian"))`` without building the record."""
+    return _civil_text(*_civil_fields(jdn, "gregorian"))
+
+
 def to_jdn(day: int, constant: CorrelationConstant = GMT) -> int:
     """Julian Day Number of a day of the count."""
     if day < 0:
@@ -102,7 +107,7 @@ def jdn_to_civil(jdn: int, calendar: Calendar) -> CivilDate:
         raise ValueError(f"jdn must be non-negative, got {jdn}")
     if calendar not in ("julian", "gregorian"):
         raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
-    return CivilDate(*_civil_fields(jdn, calendar), calendar)
+    return CivilDate._make((*_civil_fields(jdn, calendar), calendar))  # in range by construction
 
 
 def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int]:
@@ -142,8 +147,4 @@ class CorrelationReport(NamedTuple):
 def describe(day: int, constant: CorrelationConstant = GMT) -> CorrelationReport:
     """JDN plus Julian and proleptic-Gregorian dates of a day of the count."""
     jdn = to_jdn(day, constant)
-    return CorrelationReport(
-        jdn=jdn,
-        julian=jdn_to_civil(jdn, "julian"),
-        gregorian=jdn_to_civil(jdn, "gregorian"),
-    )
+    return CorrelationReport(jdn, jdn_to_civil(jdn, "julian"), jdn_to_civil(jdn, "gregorian"))

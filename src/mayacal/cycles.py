@@ -208,15 +208,15 @@ def long_count_from_day(day: int) -> LongCount:
 
 
 def cycle_date(day: int) -> CycleDate:
-    """All cyclical positions of a day number (pre-creation days rejected)."""
+    """All cyclical positions of a day number (pre-creation days rejected), in closed
+    form: each is a residue or digit of the day, in range, so records are built with ``_make``."""
     if day < 0:
         raise ValueError(f"day must be non-negative, got {day}")
-    return CycleDate(
-        day=day,
-        tzolkin=tzolkin_from_pos((day + TZOLKIN_EPOCH) % TZOLKIN_DAYS),
-        haab=haab_from_pos((day + HAAB_EPOCH) % HAAB_DAYS),
-        kawil=(day + KAWIL_EPOCH) % KAWIL_DAYS,
-        direction_color=((day + KAWIL_EPOCH) // KAWIL_DAYS) % 4,
-        long_count=long_count_from_day(day),
-    )
-
+    tzolkin = day + TZOLKIN_EPOCH - 1  # zero-based ordinals; 13 and 20 divide the 260 days
+    haab = (day + HAAB_EPOCH - 1) % HAAB_DAYS
+    kawil = day + KAWIL_EPOCH
+    return CycleDate._make((
+        day, TzolkinDate._make((tzolkin % 13 + 1, tzolkin % 20)), HaabDate._make((haab % 20, haab // 20)),
+        kawil % KAWIL_DAYS, kawil // KAWIL_DAYS % 4,
+        LongCount._make((day // BAKTUN, day // KATUN % 20, day // TUN % 20, day // WINAL % 18, day % WINAL)),
+    ))

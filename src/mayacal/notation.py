@@ -29,15 +29,12 @@ from .cycles import (
     KAWIL_DAYS,
     KAWIL_EPOCH,
     LONG_COUNT_DIGITS,
-    TZOLKIN_DAYS,
     TZOLKIN_EPOCH,
     TZOLKIN_NAMES,
     HaabDate,
     LongCount,
     TzolkinDate,
-    haab_from_pos,
-    long_count_from_day,
-    tzolkin_from_pos,
+    cycle_date,
 )
 
 _TZOLKIN_BY_NAME = {name.lower(): i for i, name in enumerate(TZOLKIN_NAMES)}
@@ -113,12 +110,8 @@ def read_int(token: str, what: str, at: int) -> int:
 
 def expression_from_day(day: int) -> DateExpression:
     """The full combined expression (Long Count + Calendar Round) of a day."""
-    return DateExpression._make((
-        long_count_from_day(day),
-        tzolkin_from_pos((day + TZOLKIN_EPOCH) % TZOLKIN_DAYS),
-        haab_from_pos((day + HAAB_EPOCH) % HAAB_DAYS),
-        None,
-    ))
+    _, tzolkin, haab, _, _, long_count = cycle_date(day)
+    return DateExpression._make((long_count, tzolkin, haab, None))
 
 
 def _parse_baktun(lead: str) -> int:

@@ -214,6 +214,38 @@ class TestExitCodes:
         assert "[FAIL] sabotaged: expected 1, got 2" in out
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unexpected_exception_gets_an_envelope(self, capsys, monkeypatch, fmt):
+        def broken(args, constant):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_factor", broken)
+        code = main(["--format", fmt, "factor", "12"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.FAULT_EXIT, "")
+        assert "Traceback" not in out
+        if fmt == "json":
+            data = json.loads(out)  # one document, or this raises
+            raised_at = data["payload"].pop("raised_at")
+            assert data == {"command": "factor", "status": "error", "payload": {"error": "TypeError: boom"},
+                            "checks": []}
+        else:
+            head, raised_at = out.split("\nraised_at: ")
+            assert head == "command: factor\nstatus: error\nerror: TypeError: boom"
+            raised_at = raised_at.removesuffix("\n")
+        assert raised_at.startswith("test_cli.py:")
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit, type("CapHit", (BaseException,), {})],
+                             ids=["KeyboardInterrupt", "SystemExit", "BaseException"])
+    def test_interrupts_pass_through(self, capsys, monkeypatch, interrupt):
+        def interrupted(args, constant):
+            raise interrupt()
+
+        monkeypatch.setattr(cli, "cmd_factor", interrupted)
+        with pytest.raises(interrupt):
+            main(["--format", "json", "factor", "12"])
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
         "argv,command,unparsable",
         [
@@ -278,6 +310,11 @@ class TestExitCodes:
 
 
 class TestConvert:
+    def test_named_days_come_from_the_model(self, constants):
+        assert sorted(cli.NAMED_DAYS) == [0, 341640, 1195740, 1366560, 1708200, 1765140, 1872000, 2448420,
+                                          136656000, 683280000, 956592000]
+        assert {constants.aeon, 5 * constants.aeon, constants.grand_cycle} <= cli.NAMED_DAYS.keys()
+
     def test_long_round_identified(self, run):
         code, out = run("convert", "9.9.16.0.0")
         assert code == 0
