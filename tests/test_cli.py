@@ -679,6 +679,12 @@ class TestGolden:
             ("cultural_dates.txt", ["table", "cultural-dates"]),
             ("verify_all.json", ["--format", "json", "verify", "all"]),
             ("lunar_search.json", ["--format", "json", "lunar", "search"]),
+            ("lunar_search.txt", ["lunar", "search"]),
+            ("lunar_table.json", ["--format", "json", "lunar", "table"]),
+            ("cultural_dates.json", ["--format", "json", "table", "cultural-dates"]),
+            # One lunation: no nonzero error, so minimal_nonzero is empty and best is None.
+            ("lunar_search_max1.txt", ["lunar", "search", "--max", "1"]),
+            ("lunar_search_max1.json", ["--format", "json", "lunar", "search", "--max", "1"]),
         ],
     )
     def test_pinned_output(self, run, name, argv):
