@@ -9,8 +9,11 @@ noise only adds time, so the best repeat is the steadiest figure; compare
 two checkouts by running the script on each, in turn, a few times.  The
 "window row" lines are one match of a ``convert --window`` list, rendered
 as ``main`` renders it: a 1001-match window, timed whole and divided by its
-matches.  The last line is a whole day's round trip, the sequence that the
-benchmark's day-batch workload times for each day.
+matches.  The "verify all, json" and "table cultural-dates" lines render
+those commands' envelopes, made once, as ``main`` renders them (the table in
+text), so that a change to the renderers can be timed without start-up.  The
+last line is a whole day's round trip, the sequence that the benchmark's
+day-batch workload times for each day.
 """
 
 import timeit
@@ -36,8 +39,11 @@ def round_trip(day: int) -> None:
 def main():
     expr = expression_from_day(DAY)
     text = format_date(expr)
+    parser = cli.build_parser()
     argv = ["convert", "4 Ahau 8 Cumku", "--window", f"0..{18980 * (WINDOW_MATCHES - 1)}"]
-    window = cli.cmd_convert(cli.build_parser().parse_args(argv), GMT)
+    window = cli.cmd_convert(parser.parse_args(argv), GMT)
+    verify = cli.cmd_verify(parser.parse_args(["verify", "all"]), GMT)
+    table = cli.cmd_table(parser.parse_args(["table", "cultural-dates"]), GMT)
     calls = {
         "cycle_date": lambda: cycle_date(DAY),
         "describe": lambda: describe(DAY),
@@ -48,6 +54,8 @@ def main():
         "expression_from_day": lambda: expression_from_day(DAY),
         "window row, text": lambda: "".join(window.render("text")),
         "window row, json": lambda: "".join(window.render("json")),
+        "verify all, json": lambda: "".join(verify.render("json")),
+        "table cultural-dates": lambda: "".join(table.render("text")),
         "day round trip": lambda: round_trip(DAY),
     }
     for name, call in calls.items():

@@ -10,11 +10,13 @@ from typing import Any, NamedTuple
 
 class Rows:
     """Records made lazily and never held whole: ``row(key)`` gives, for each
-    of ``keys``, the values of ``fields`` in order, each an int or a str.
+    of ``keys``, the values of ``fields`` in order, each a :func:`jsonable` value.
 
     Iterating yields each row as a dict, and truth asks ``keys``, which may be
     a range too long for ``len``.  The renderers write ``row``'s values
-    through one template made from ``fields``.
+    through one template made from ``fields``: text writes each value with
+    ``str``, and JSON writes an int or a str inline and any other value (a
+    list, a dict, a bool or None) as it writes that value alone.
     """
 
     __slots__ = ("fields", "row", "keys")
@@ -32,7 +34,7 @@ class Rows:
 def jsonable(value: Any) -> Any:
     """Render exact values losslessly for machine output (Fractions as 'n/d')."""
     if isinstance(value, Rows):
-        return value  # its rows hold only ints and strs
+        return value  # its row function makes its values jsonable
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if type(value) in (list, tuple):  # a record is a tuple too, but renders as its str
@@ -51,14 +53,6 @@ class Check(NamedTuple):
     expected: Any
     computed: Any
     passed: bool
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "expected": jsonable(self.expected),
-            "computed": jsonable(self.computed),
-            "pass": self.passed,
-        }
 
 
 class Report:

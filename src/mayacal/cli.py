@@ -8,6 +8,9 @@ stdout as it is made, so a window of millions of matches streams in bounded
 memory, and a call killed part-way leaves a truncated document.  Exit codes:
 0 success, 1 verification mismatch, 2 usage or parse error, 3 a fault in
 mayacal, 120 stdout closed by its reader (as in ``mayacal ... | head``).
+A fault gets an error envelope naming where it was raised, also one raised
+while the envelope renders its rows; once part of the document is written,
+stdout is left truncated instead and the fault is one line on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .notation import DateParseError, era_display, parse, read_int, resolution
 from .supernumber import (
     LONG_ROUND,
     XULTUN,
+    CulturalDate,
     creation_residues,
     cultural_dates,
     derive_constants,
@@ -157,7 +161,8 @@ class OutputEnvelope:
             "command": self.command,
             "status": self.status,
             "payload": jsonable(self.payload),
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": Rows(_CHECK_FIELDS, lambda c: (c.name, jsonable(c.expected), jsonable(c.computed), c.passed),
+                           self.checks),
         }
 
     def render(self, fmt: str) -> Iterator[str]:
@@ -192,19 +197,13 @@ class OutputEnvelope:
 def _text_lines(value: dict, indent: int = 0) -> Iterator[str]:
     pad = "  " * indent
     for key, item in value.items():
-        if isinstance(item, dict):
+        if isinstance(item, dict) and item:  # an empty one is written "{}", as JSON writes it
             yield f"{pad}{key}:"
             yield from _text_lines(item, indent + 1)
         elif isinstance(item, Rows) and item:
             yield f"{pad}{key}:"  # then each row as a list entry below, one string of lines
             template = f"{pad}  - " + f"\n{pad}    ".join(f"{field}: %s" for field in item.fields)
             yield from map(template.__mod__, map(item.row, item.keys))
-        elif item and isinstance(item, list) and all(isinstance(i, dict) for i in item):
-            yield f"{pad}{key}:"
-            for entry in item:
-                first, *rest = _text_lines(entry, indent + 2)
-                yield f"{'  ' * (indent + 1)}- {first.lstrip()}"
-                yield from rest
         elif isinstance(item, (list, Rows)):
             rendered = ", ".join(str(i) for i in item)
             yield f"{pad}{key}: [{rendered}]"
@@ -232,12 +231,15 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
             sep = ","
         yield pad + "]"
     elif isinstance(value, Rows) and value:
-        # Each row is an object one level in, written as the dict branch writes it.
+        # Each row is an object one level in, written as the dict branch writes it:
+        # an int or a str inline, any other value as it is written alone, at its entry's pad.
         entries = ",".join(f"{inner}  {quote(field)}: %s" for field in value.fields)
         template = f"{inner}{{{entries}{inner}}}"
+        entry = inner + "  "
         sep = "["
         for values in map(value.row, value.keys):
-            yield sep + template % tuple([quote(v) if isinstance(v, str) else v for v in values])
+            yield sep + template % tuple([v if type(v) is int else quote(v) if type(v) is str
+                                          else "".join(_json_pieces(v, quote, entry)) for v in values])
             sep = ","
         yield pad + "]"
     elif isinstance(value, str):
@@ -271,6 +273,9 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
         "gregorian": str(corr.gregorian),
     }
 
+
+#: The fields of a check in a JSON envelope.
+_CHECK_FIELDS = ("name", "expected", "computed", "pass")
 
 #: The fields of a window match, in the order both formats write them.
 _MATCH_FIELDS = ("day", "long_count", "calendar_round", "kawil", "direction_color_name", "jdn", "gregorian")
@@ -356,31 +361,24 @@ def cmd_verify(args, constant: CorrelationConstant) -> OutputEnvelope:
     return OutputEnvelope.result(args.command, payload, checks)
 
 
-def _candidate_row(c: LunarCandidate) -> dict:
-    return {
-        "days": c.days,
-        "lunations": c.lunations,
-        "ratio": c.ratio_str,
-        "ratio_decimal": decimal_str(c.ratio, 6),
-        "error": str(c.error),
-        "error_decimal": decimal_str(c.error, 6),
-        "lcm_260": c.lcm260,
-    }
+#: The fields of a lunar equation, and of an attested one in ``lunar table``.
+_CANDIDATE_FIELDS = ("days", "lunations", "ratio", "ratio_decimal", "error", "error_decimal", "lcm_260")
+_TABLE_FIELDS = (*_CANDIDATE_FIELDS, "error_rounded", "source")
+
+
+def _candidate_row(c: LunarCandidate) -> tuple:
+    return (c.days, c.lunations, c.ratio_str, decimal_str(c.ratio, 6), str(c.error), decimal_str(c.error, 6),
+            c.lcm260)
 
 
 def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     n = derive_constants().n
     rows = ratio_table(n)
-    payload_rows = []
-    for row in rows[:-1]:
-        entry = _candidate_row(row)
-        entry["error_rounded"] = round_nearest(row.error)
-        entry["source"] = TABLE_SOURCES[row.days]
-        payload_rows.append(entry)
     modern = rows[-1]
     payload = {
         "supernumber": n,
-        "rows": payload_rows,
+        "rows": Rows(_TABLE_FIELDS, lambda c: (*_candidate_row(c), round_nearest(c.error), TABLE_SOURCES[c.days]),
+                     rows[:-1]),
         "modern": {
             "ratio_decimal": decimal_str(modern.ratio, 6),
             "error": str(modern.error),
@@ -401,10 +399,10 @@ def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
         "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
         "scanned": args.max,
         "within_calendar_round": len(result.filtered),
-        "zero_error": [_candidate_row(c) for c in result.zero_error],
-        "minimal_nonzero": [_candidate_row(c) for c in result.minimal_nonzero],
-        "best": _candidate_row(result.best) if result.best else None,
-        "pareto": [_candidate_row(c) for c in result.pareto],
+        "zero_error": Rows(_CANDIDATE_FIELDS, _candidate_row, result.zero_error),
+        "minimal_nonzero": Rows(_CANDIDATE_FIELDS, _candidate_row, result.minimal_nonzero),
+        "best": dict(zip(_CANDIDATE_FIELDS, _candidate_row(result.best))) if result.best else None,
+        "pareto": Rows(_CANDIDATE_FIELDS, _candidate_row, result.pareto),
     }
     # The published-outcome checks only apply to the full 643-lunation scan.
     checks = verify_search(result).checks if args.max == 643 else []
@@ -467,23 +465,19 @@ def cmd_factor(args, constant: CorrelationConstant) -> OutputEnvelope:
     return OutputEnvelope.result(args.command, payload)
 
 
+#: The fields of a ``table cultural-dates`` row.
+_CULTURAL_FIELDS = ("label", "meaning", "day", "long_count", "calendar_round", "kawil", "direction_color_name",
+                    "position", "gregorian")
+
+
+def _cultural_row(jdn_at_creation: int, row: CulturalDate) -> tuple:
+    return (row.label, row.meaning, row.day, row.lcc_display, row.cycle.calendar_round, row.cycle.kawil,
+            row.cycle.direction_color_name, list(row.position), gregorian_display(row.day + jdn_at_creation))
+
+
 def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     constants = derive_constants()
-    rows = []
-    for row in cultural_dates(constants):
-        rows.append(
-            {
-                "label": row.label,
-                "meaning": row.meaning,
-                "day": row.day,
-                "long_count": row.lcc_display,
-                "calendar_round": row.cycle.calendar_round,
-                "kawil": row.cycle.kawil,
-                "direction_color_name": row.cycle.direction_color_name,
-                "position": list(row.position),
-                "gregorian": gregorian_display(row.day + constant.jdn_at_creation),
-            }
-        )
+    rows = Rows(_CULTURAL_FIELDS, partial(_cultural_row, constant.jdn_at_creation), cultural_dates(constants))
     payload = {"table": args.name, "rows": rows}
     return OutputEnvelope.result(args.command, payload, verify_cultural_dates(constants).checks)
 
@@ -559,17 +553,32 @@ def _asked_format(argv: list[str]) -> str | None:
     return asked
 
 
+def _fault(command: str, exc: Exception) -> OutputEnvelope:
+    """The error envelope of an unexpected exception, a fault of mayacal: it exits
+    :data:`FAULT_EXIT` and names, as ``raised_at``, the innermost frame that raised it."""
+    from traceback import extract_tb  # here, so that a call without a fault never loads it
+    frame = extract_tb(exc.__traceback__)[-1]
+    return OutputEnvelope.error(command, f"{type(exc).__name__}: {exc}",
+                                raised_at=f"{os.path.basename(frame.filename)}:{frame.lineno}")
+
+
 def _emit(envelope: OutputEnvelope, fmt: str) -> int:
-    """Write the envelope to stdout in batches as it renders; return the exit code."""
-    out, batch, size = sys.stdout, [], 0
+    """Write the envelope to stdout in batches as it renders; return the exit code.
+
+    A fault while it renders gets its :func:`_fault` envelope instead if nothing is
+    written yet; otherwise stdout stops there, as a killed call leaves it, and the
+    fault is one line on stderr.  What ``write`` raises passes, but a closed pipe."""
+    out, batch, size, written, writing = sys.stdout, [], 0, False, False
     try:
         for piece in envelope.render(fmt):
             batch.append(piece)
             size += len(piece)
             if size >= WRITE_BATCH:
+                writing = True
                 out.write("".join(batch))
-                batch, size = [], 0
+                batch, size, written, writing = [], 0, True, False
         batch.append("\n")
+        writing = True
         out.write("".join(batch))
         out.flush()
     except BrokenPipeError:
@@ -578,6 +587,15 @@ def _emit(envelope: OutputEnvelope, fmt: str) -> int:
         # module's documentation).
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return BROKEN_PIPE_EXIT
+    except Exception as exc:  # as in main, for the rows made while rendering
+        if writing:
+            raise
+        fault = _fault(envelope.command, exc)
+        if not written:
+            return _emit(fault, fmt)
+        sys.stderr.write(f"mayacal {envelope.command}: {fault.payload['error']} "
+                         f"(raised_at {fault.payload['raised_at']})\n")
+        return FAULT_EXIT
     return envelope.exit_code
 
 
@@ -596,10 +614,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError, OverflowError) as exc:
         envelope = OutputEnvelope.error(args.command, str(exc))
     except Exception as exc:  # KeyboardInterrupt, SystemExit and a caller's time cap are BaseExceptions and pass
-        from traceback import extract_tb  # here, so that a call without a fault never loads it
-        frame = extract_tb(exc.__traceback__)[-1]
-        envelope = OutputEnvelope.error(args.command, f"{type(exc).__name__}: {exc}",
-                                        raised_at=f"{os.path.basename(frame.filename)}:{frame.lineno}")
+        envelope = _fault(args.command, exc)
     return _emit(envelope, _output_format(getattr(args, "format", None)))
 
 

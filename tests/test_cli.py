@@ -3,6 +3,7 @@ import importlib.metadata
 import io
 import json
 import os
+import re
 import runpy
 import select
 import subprocess
@@ -11,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mayacal import cli
@@ -49,6 +50,34 @@ def match_summary(day: int, constant: CorrelationConstant) -> dict:
         "jdn": corr.jdn,
         "gregorian": str(corr.gregorian),
     }
+
+
+def reference_rendering(command: str, payload: dict) -> dict[str, str]:
+    """Both renderings of a check-free ``ok`` envelope whose payload holds its records as
+    lists of dicts: the JSON as ``json`` writes it, and the text entry by entry, each
+    record a list item whose fields are indented below its first.  The reference for
+    :class:`~mayacal.checks.Rows`, which writes each record through one template."""
+
+    def lines(value: dict, indent: int = 0):
+        pad = "  " * indent
+        for key, item in value.items():
+            if isinstance(item, dict) and item:
+                yield f"{pad}{key}:"
+                yield from lines(item, indent + 1)
+            elif item and isinstance(item, list) and all(isinstance(i, dict) for i in item):
+                yield f"{pad}{key}:"
+                for entry in item:
+                    first, *rest = lines(entry, indent + 2)
+                    yield f"{'  ' * (indent + 1)}- {first.lstrip()}"
+                    yield from rest
+            elif isinstance(item, list):
+                yield f"{pad}{key}: [{', '.join(str(i) for i in item)}]"
+            else:
+                yield f"{pad}{key}: {item}"
+
+    document = {"command": command, "status": "ok", "payload": payload, "checks": []}
+    return {"text": "\n".join([f"command: {command}", "status: ok", *lines(payload)]),
+            "json": json.dumps(document, indent=2, ensure_ascii=False)}
 
 
 #: Values as ``jsonable`` makes them: None, bools, ints of any size, any text, and lists and dicts of them.
@@ -234,6 +263,52 @@ class TestExitCodes:
             raised_at = raised_at.removesuffix("\n")
         assert raised_at.startswith("test_cli.py:")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("patched,argv", [("gregorian_display", ["table", "cultural-dates"]),
+                                              ("_match_row", ["convert", CREATION_CR, "--window", "0..40000"])],
+                             ids=["table", "narrow-window"])
+    def test_render_fault_gets_an_envelope(self, capsys, monkeypatch, fmt, patched, argv):
+        # Rows are made while the envelope renders; a fault there, before anything
+        # is written, gets the envelope a fault in the handler gets.
+        def broken(*args):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(cli, patched, broken)
+        code = main(["--format", fmt, *argv])
+        out, err = capsys.readouterr()
+        assert (code, err) == (cli.FAULT_EXIT, "")
+        if fmt == "json":
+            data = json.loads(out)
+            assert re.fullmatch(r"test_cli\.py:\d+", data["payload"].pop("raised_at"))
+            assert data == {"command": argv[0], "status": "error", "payload": {"error": "TypeError: boom"},
+                            "checks": []}
+        else:
+            assert re.fullmatch(rf"command: {argv[0]}\nstatus: error\nerror: TypeError: boom\n"
+                                r"raised_at: test_cli\.py:\d+\n", out)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_render_fault_after_output_truncates(self, capsys, monkeypatch, fmt):
+        # Once a batch is written no envelope can follow: stdout stops, as a
+        # killed call leaves it, and the fault is one line on stderr.
+        row, faulty = cli._match_row, CALENDAR_ROUND * 3000
+
+        def breaks_late(jdn_at_creation, day):
+            if day == faulty:
+                raise TypeError("boom")
+            return row(jdn_at_creation, day)
+
+        argv = ["--format", fmt, "convert", CREATION_CR, "--window", f"0..{CALENDAR_ROUND * 4000}"]
+        monkeypatch.setattr(cli, "_match_row", breaks_late)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        monkeypatch.setattr(cli, "_match_row", row)
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        assert code == cli.FAULT_EXIT
+        assert re.fullmatch(r"mayacal convert: TypeError: boom \(raised_at test_cli\.py:\d+\)\n", err)
+        assert len(out) >= cli.WRITE_BATCH and whole.startswith(out)
+        assert str(faulty) not in out
+
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit, type("CapHit", (BaseException,), {})],
                              ids=["KeyboardInterrupt", "SystemExit", "BaseException"])
     def test_interrupts_pass_through(self, capsys, monkeypatch, interrupt):
@@ -309,6 +384,107 @@ class TestExitCodes:
         assert (err.status, err.exit_code) == ("error", 2)
 
 
+#: The text of a number: small ones, negative ones, 4000 digits, and text that no integer flag reads.
+NUMBERS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(-3, 3).map(str),
+    st.integers(1, 9).map(lambda digit: str(digit) * 4000),
+    st.sampled_from(["²", "٣", "1_0", "+5", " 5", "x", "", "-", "--5", TOO_LONG]),
+)
+#: Date strings: each form, ones that do not parse, and free text that argparse takes for no flag.
+DATES = st.one_of(
+    st.sampled_from(["9.9.16.0.0", CREATION_CR, "9.9.16.0.0 4 Ahau 8 Cumku", "9.9.16.0.0 5 Imix 0 Pop",
+                     "4 Ahau 3 Kankin", "13(0).0.0.0.0", "2×13(0).0.0.0.0", "9.².16.0.0", "² Ahau 8 Cumku"]),
+    st.builds("{}.{}.0.0.0".format, NUMBERS, NUMBERS),
+    st.builds("4 Ahau {} Cumku".format, NUMBERS),
+    st.text(max_size=20).filter(lambda text: not text.startswith("-")),
+)
+#: Windows narrow enough to render in a moment, wherever they start, and malformed ones.
+WINDOWS = st.one_of(
+    st.builds(lambda lo, width: f"{lo}..{lo + width}",
+              st.integers(0, 10**15) | st.integers(1, 9).map(lambda digit: int(str(digit) * 4000)),
+              st.integers(0, 40000)),
+    st.builds("{}..{}".format, NUMBERS, NUMBERS),
+)
+#: Every leaf of the command line, with the strategies of its positional and of each of its flags.
+LEAVES = {
+    ("convert",): (DATES, {"--day": NUMBERS, "--window": WINDOWS}),
+    ("verify",): (st.sampled_from(["all", *cli.SUITES, "eq9"]), {}),
+    ("lunar", "table"): (None, {}),
+    ("lunar", "search"): (None, {"--max": NUMBERS}),
+    ("lunar", "age"): (None, {"--lc": NUMBERS | DATES, "--lc0": NUMBERS | DATES,
+                              "--ratio": st.builds("{}/{}".format, NUMBERS, NUMBERS) | st.just("2392/81")}),
+    ("factor",): (st.integers(-3, 5000).map(str) | NUMBERS, {}),
+    ("table",): (st.sampled_from(["cultural-dates", "x"]), {}),
+}
+SHARED_FLAGS = {"--format": st.sampled_from(cli.FORMATS) | st.just("xml"),
+                "--correlation": st.integers(1, 10**7).map(str) | NUMBERS}
+FLAGS = {**SHARED_FLAGS, **{flag: values for _, flags in LEAVES.values() for flag, values in flags.items()}}
+
+
+@st.composite
+def flag_groups(draw, flags: dict, max_size: int) -> list[list[str]]:
+    """Some of ``flags``, each as ``--flag value``, ``--flag=value`` or a bare ``--flag``."""
+    groups = []
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=max_size)):
+        value, shape = draw(flags[flag]), draw(st.sampled_from(["pair", "pair", "pair", "equals", "bare"]))
+        groups.append({"pair": [flag, value], "equals": [f"{flag}={value}"], "bare": [flag]}[shape])
+    return groups
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command line for one leaf: its positional (or none), its flags, at times one of another leaf
+    (misplaced), and the shared flags before the command, after it and, for ``lunar``, between the
+    group and its leaf."""
+    words = draw(st.sampled_from(sorted(LEAVES)))
+    positional, flags = LEAVES[words]
+    tail = draw(flag_groups(flags, 3)) if flags else []
+    tail += draw(flag_groups(SHARED_FLAGS, 1)) + draw(flag_groups(FLAGS, 1)) * (draw(st.integers(0, 4)) == 0)
+    if positional is not None and draw(st.integers(0, 4)):
+        tail.append([draw(positional)])
+    argv = [token for group in draw(flag_groups(SHARED_FLAGS, 2)) for token in group] + [words[0]]
+    if len(words) == 2:
+        argv += [token for group in draw(flag_groups(SHARED_FLAGS, 1)) for token in group] + [words[1]]
+    return argv + [token for group in draw(st.permutations(tail)) for token in group]
+
+
+def asked_format(argv: list[str]) -> str:
+    """The value of the last ``--format X`` or ``--format=X`` naming a format, else text."""
+    pairs = [arg.partition("=")[::2] if arg.startswith("--format=") else (arg, following)
+             for arg, following in zip(argv, argv[1:] + [None])]
+    return ([value for flag, value in pairs if flag == "--format" and value in cli.FORMATS] or ["text"])[-1]
+
+
+class TestCommandLines:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=command_lines())
+    @example(argv=["convert", "--day", "9" * 4000, "--correlation", "9" * 4000])
+    @example(argv=["--format", "json", "convert", "1.²", "--format"])
+    @example(argv=["lunar", "--format", "json", "age", "--lc", "9.9.16.0.0", "--lc0", "٣", "--ratio=1/5"])
+    @example(argv=["factor", "1"])
+    @example(argv=["convert", CREATION_CR, "--format=json", "--window", f"1{'0' * 3999}..1{'0' * 3994}40000"])
+    def test_every_command_line_gets_one_envelope(self, monkeypatch, argv):
+        # Whatever the command line, one envelope in the format asked for, and nothing on stderr.
+        monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        out = out.getvalue()
+        assert code in (0, 1, 2) and err.getvalue() == ""
+        status = {0: "ok", 1: "mismatch", 2: "error"}[code]
+        if asked_format(argv) == "json":
+            data = json.loads(out)  # one document, or this raises
+            assert (list(data), data["status"]) == (["command", "status", "payload", "checks"], status)
+            payload = data["payload"]
+        else:
+            assert re.match(rf"command: [a-z ]+\nstatus: {status}\n", out) and out.endswith("\n")
+            assert len(re.findall("^command: ", out, re.M)) == 1
+            payload = {key: int(value) if key == "position" else value  # top-level lines only
+                       for key, value in re.findall(r"^(error|position): (.*)$", out, re.M)}
+        offset = re.search(r"\(at offset (\d+)\)$", payload.get("error", ""))
+        assert payload.get("position") == (offset and int(offset[1]))
+
+
 class TestConvert:
     def test_named_days_come_from_the_model(self, constants):
         assert sorted(cli.NAMED_DAYS) == [0, 341640, 1195740, 1366560, 1708200, 1765140, 1872000, 2448420,
@@ -380,14 +556,15 @@ class TestConvert:
 
 class TestRows:
     def test_rows_render_like_a_list(self):
-        fields = ("day", "half", "quoted")
-        rows = [(d, f"{d}/2", f'"{d}" \\ é\t') for d in range(3)]
+        fields = ("day", "half", "quoted", "other")
+        rows = [(d, f"{d}/2", f'"{d}" \\ é\t', other) for d, other in enumerate(([0, [1, 2]], None, True))]
         lazy = OutputEnvelope.result("x", {"rows": Rows(fields, rows.__getitem__, range(3)),
                                            "none": Rows(fields, rows.__getitem__, range(0))})
-        eager = OutputEnvelope.result("x", {"rows": [dict(zip(fields, row)) for row in rows], "none": []})
-        assert list(lazy.payload["rows"]) == eager.payload["rows"]
-        assert lazy.to_text() == eager.to_text()
-        assert lazy.to_json() == eager.to_json() == json.dumps(eager.to_dict(), indent=2, ensure_ascii=False)
+        eager = {"rows": [dict(zip(fields, row)) for row in rows], "none": []}
+        assert list(lazy.payload["rows"]) == eager["rows"]
+        reference = reference_rendering("x", eager)
+        assert lazy.to_text() == reference["text"]
+        assert lazy.to_json() == reference["json"]
 
     def test_window_matches_are_made_while_rendering(self, monkeypatch):
         made = []
@@ -412,9 +589,8 @@ class TestRows:
         envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), GMT)
         payload = {**envelope.payload, "matches": list(envelope.payload["matches"])}
         assert payload["count"] == len(payload["matches"])
-        materialised = {**envelope.to_dict(), "payload": payload}
-        assert streamed["json"] == json.dumps(materialised, indent=2, ensure_ascii=False) + "\n"
-        assert streamed["text"] == OutputEnvelope.result("convert", payload).to_text() + "\n"
+        reference = reference_rendering("convert", payload)
+        assert streamed == {fmt: rendering + "\n" for fmt, rendering in reference.items()}
 
     @settings(max_examples=60, deadline=None)
     @given(day=st.integers(0, CALENDAR_ROUND - 1), lo=st.integers(0, 10**15), width=st.integers(0, 10**6),
@@ -426,16 +602,20 @@ class TestRows:
         constant = CorrelationConstant(correlation)
         envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), constant)
         rows = envelope.payload["matches"]
-        reference = OutputEnvelope.result("convert", {
+        reference = reference_rendering("convert", {
             **envelope.payload, "matches": [match_summary(d, constant) for d in rows.keys]})
-        assert envelope.to_text() == reference.to_text()
-        assert envelope.to_json() == json.dumps(reference.to_dict(), indent=2, ensure_ascii=False)
+        assert envelope.to_text() == reference["text"]
+        assert envelope.to_json() == reference["json"]
 
     @settings(max_examples=200, deadline=None)
     @given(value=JSONABLE)
     def test_json_writer_is_the_stdlib_encoder(self, value):
         written = "".join(cli._json_pieces(value, json.encoder.encode_basestring))
         assert written == json.dumps(value, indent=2, ensure_ascii=False)
+        # A record's value is written as it is alone, whatever it is.
+        rows = {"rows": Rows(("value", "key"), lambda key: (value, key), range(2))}
+        written = "".join(cli._json_pieces(rows, json.encoder.encode_basestring))
+        assert written == json.dumps({"rows": list(rows["rows"])}, indent=2, ensure_ascii=False)
 
 
 class TestStreaming:
@@ -596,6 +776,8 @@ class TestFactor:
         code, out = run("factor", "1")
         assert code == 0
         assert "factorization: 1" in out
+        assert out.endswith("\nfactors: {}\n")  # the empty product, as JSON writes it
+        assert json.loads(run("--format", "json", "factor", "1")[1])["payload"]["factors"] == {}
 
     def test_mersenne_prime(self, run):
         code, out = run("factor", "2305843009213693951")
@@ -667,30 +849,47 @@ class TestFormats:
         assert json.loads(run("convert", "--day", "0", *flags)[1])["payload"]["correlation"] == 584285
 
 
+def lists_holding_dicts(value) -> list:
+    """Every list in ``value``, at any depth and in the values of its Rows, that holds a dict."""
+    if isinstance(value, Rows):
+        return [found for values in map(value.row, value.keys) for v in values for found in lists_holding_dicts(v)]
+    if isinstance(value, dict):
+        return [found for v in value.values() for found in lists_holding_dicts(v)]
+    if isinstance(value, list):
+        held = [value] if any(isinstance(i, dict) for i in value) else []
+        return held + [found for i in value for found in lists_holding_dicts(i)]
+    return []
+
+
 class TestGolden:
-    @pytest.mark.parametrize(
-        "name,argv",
-        [
-            ("convert_day0.txt", ["convert", "--day", "0"]),
-            ("convert_day0.json", ["--format", "json", "convert", "--day", "0"]),
-            ("verify_eq1.json", ["--format", "json", "verify", "eq1"]),
-            ("factor_3276.txt", ["factor", "3276"]),
-            ("lunar_table.txt", ["lunar", "table"]),
-            ("cultural_dates.txt", ["table", "cultural-dates"]),
-            ("verify_all.json", ["--format", "json", "verify", "all"]),
-            ("lunar_search.json", ["--format", "json", "lunar", "search"]),
-            ("lunar_search.txt", ["lunar", "search"]),
-            ("lunar_table.json", ["--format", "json", "lunar", "table"]),
-            ("cultural_dates.json", ["--format", "json", "table", "cultural-dates"]),
-            # One lunation: no nonzero error, so minimal_nonzero is empty and best is None.
-            ("lunar_search_max1.txt", ["lunar", "search", "--max", "1"]),
-            ("lunar_search_max1.json", ["--format", "json", "lunar", "search", "--max", "1"]),
-        ],
-    )
+    COMMANDS = [
+        ("convert_day0.txt", ["convert", "--day", "0"]),
+        ("convert_day0.json", ["--format", "json", "convert", "--day", "0"]),
+        ("verify_eq1.json", ["--format", "json", "verify", "eq1"]),
+        ("factor_3276.txt", ["factor", "3276"]),
+        ("lunar_table.txt", ["lunar", "table"]),
+        ("cultural_dates.txt", ["table", "cultural-dates"]),
+        ("verify_all.json", ["--format", "json", "verify", "all"]),
+        ("lunar_search.json", ["--format", "json", "lunar", "search"]),
+        ("lunar_search.txt", ["lunar", "search"]),
+        ("lunar_table.json", ["--format", "json", "lunar", "table"]),
+        ("cultural_dates.json", ["--format", "json", "table", "cultural-dates"]),
+        # One lunation: no nonzero error, so minimal_nonzero is empty and best is None.
+        ("lunar_search_max1.txt", ["lunar", "search", "--max", "1"]),
+        ("lunar_search_max1.json", ["--format", "json", "lunar", "search", "--max", "1"]),
+    ]
+
+    @pytest.mark.parametrize("name,argv", COMMANDS)
     def test_pinned_output(self, run, name, argv):
         code, out = run(*argv)
         assert code == 0
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name,argv", COMMANDS)
+    def test_every_list_of_records_is_rows(self, name, argv):
+        # One tabular path: a list of records reaches the renderers as Rows, never as dicts.
+        args = cli.build_parser().parse_args(argv)
+        assert lists_holding_dicts(args.run(args, GMT).to_dict()) == []
 
 
 def test_module_entry_point():
