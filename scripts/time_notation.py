@@ -6,7 +6,10 @@ Usage: PYTHONPATH=src python3 scripts/time_notation.py
 Each line is the best of 100 short ``timeit`` repeats, in microseconds per call,
 for the Long Round day 1366560 (9.9.16.0.0 4 Ahau 8 Cumku).  The host's
 noise only adds time, so the best repeat is the steadiest figure; compare
-two checkouts by running the script on each, in turn, a few times.  The
+two checkouts by running the script on each, in turn, a few times, from
+copies without ``src/mayacal/__pycache__`` (``git archive`` makes them): a
+checkout's bytecode cache is read even under ``PYTHONDONTWRITEBYTECODE=1``,
+and it shortens a cold call's imports, though not the calls timed here.  The
 "window row" lines are one match of a ``convert --window`` list, rendered
 as ``main`` renders it: a 1001-match window, timed whole and divided by its
 matches.  The "verify all, json" and "table cultural-dates" lines render

@@ -10,7 +10,7 @@ from typing import Any, NamedTuple
 
 class Rows:
     """Records made lazily and never held whole: ``row(key)`` gives, for each
-    of ``keys``, the values of ``fields`` in order, each a :func:`jsonable` value.
+    of ``keys``, the values of ``fields`` in order (str, int, bool, None, list or dict).
 
     Iterating yields each row as a dict, and truth asks ``keys``, which may be
     a range too long for ``len``.  The renderers write ``row``'s values
@@ -32,9 +32,7 @@ class Rows:
 
 
 def jsonable(value: Any) -> Any:
-    """Render exact values losslessly for machine output (Fractions as 'n/d')."""
-    if isinstance(value, Rows):
-        return value  # its row function makes its values jsonable
+    """A check's value, written losslessly (Fractions as 'n/d'); payloads are built of such values already."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
     if type(value) in (list, tuple):  # a record is a tuple too, but renders as its str
@@ -55,19 +53,13 @@ class Check(NamedTuple):
     passed: bool
 
 
-class Report:
-    """A named bundle of checks; ``ok`` iff every check passed."""
+class Report(NamedTuple("Report", [("title", str), ("checks", list[Check])])):
+    """A named bundle of checks; ``ok`` iff every check passed.  ``checks`` is its own list, fresh when not given."""
 
-    __slots__ = ("title", "checks")
+    __slots__ = ()
 
-    def __init__(self, title: str, checks: list[Check] | None = None) -> None:
-        self.title, self.checks = title, [] if checks is None else checks
-
-    def __repr__(self) -> str:
-        return f"Report(title={self.title!r}, checks={self.checks!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Report and (self.title, self.checks) == (other.title, other.checks)
+    def __new__(cls, title: str, checks: list[Check] | None = None) -> Report:
+        return super().__new__(cls, title, [] if checks is None else checks)
 
     def check(self, name: str, expected: Any, computed: Any) -> Check:
         """Record whether ``computed`` equals ``expected``; an inexact number in either is refused,

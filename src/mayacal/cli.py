@@ -22,7 +22,7 @@ import sys
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from functools import partial
-from typing import Any
+from typing import Any, NamedTuple
 
 from .arith import INT63_MAX, decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
@@ -41,7 +41,7 @@ from .lunar import (
     verify_ratio_table,
     verify_search,
 )
-from .notation import DateParseError, era_display, parse, read_int, resolution
+from .notation import MAX_DIGITS, DateParseError, era_display, parse, resolution
 from .supernumber import (
     LONG_ROUND,
     XULTUN,
@@ -117,29 +117,23 @@ class _Parser(argparse.ArgumentParser):
 
 def _integer(text: str) -> int:
     """An integer flag: one optional '-', then decimal digits (``int`` also reads '+', '_' and spaces)."""
-    if not text.removeprefix("-").isdecimal():
+    digits = text.removeprefix("-")
+    if not digits.isdecimal():
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # longer than the interpreter converts
-        raise argparse.ArgumentTypeError(f"value is too long: {len(text)} digits") from None
+    if len(digits) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"value is too long: {len(digits)} digits")
+    return int(text)
 
 
-class OutputEnvelope:
-    """One command result, rendered identically to text and JSON."""
+class OutputEnvelope(NamedTuple("OutputEnvelope", [("command", str), ("status", str), ("payload", dict),
+                                                   ("checks", list[Check])])):
+    """One command result (status ok, mismatch or error), rendered identically to text and JSON.  ``checks`` is
+    its own list, fresh when not given; the payload is written as built (str, int, bool, None, list, dict, Rows)."""
 
-    __slots__ = ("command", "status", "payload", "checks")
+    __slots__ = ()
 
-    def __init__(self, command: str, status: str, payload: dict, checks: list[Check] | None = None) -> None:
-        self.command, self.status, self.payload = command, status, payload  # status: ok | mismatch | error
-        self.checks = [] if checks is None else checks
-
-    def __repr__(self) -> str:
-        return (f"OutputEnvelope(command={self.command!r}, status={self.status!r}, "
-                f"payload={self.payload!r}, checks={self.checks!r})")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is OutputEnvelope and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    def __new__(cls, command: str, status: str, payload: dict, checks: list[Check] | None = None) -> OutputEnvelope:
+        return super().__new__(cls, command, status, payload, [] if checks is None else checks)
 
     @classmethod
     def result(cls, command: str, payload: dict, checks: list[Check] | None = None) -> "OutputEnvelope":
@@ -160,7 +154,7 @@ class OutputEnvelope:
         return {
             "command": self.command,
             "status": self.status,
-            "payload": jsonable(self.payload),
+            "payload": self.payload,
             "checks": Rows(_CHECK_FIELDS, lambda c: (c.name, jsonable(c.expected), jsonable(c.computed), c.passed),
                            self.checks),
         }
@@ -182,7 +176,7 @@ class OutputEnvelope:
 
     def _text_pieces(self) -> Iterator[str]:
         yield f"command: {self.command}\nstatus: {self.status}"
-        for line in _text_lines(jsonable(self.payload)):
+        for line in _text_lines(self.payload):
             yield "\n" + line
         if self.checks:
             failed = sum(1 for c in self.checks if not c.passed)
@@ -212,7 +206,7 @@ def _text_lines(value: dict, indent: int = 0) -> Iterator[str]:
 
 
 def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> Iterator[str]:
-    """A :func:`jsonable` value in the pieces of what ``json.JSONEncoder(indent=2,
+    """A payload value in the pieces of what ``json.JSONEncoder(indent=2,
     ensure_ascii=False)`` writes for it.  ``quote`` is ``json.encoder.encode_basestring``,
     the quoting that encoder uses, and ``pad`` starts the lines of the value's level."""
     inner = pad + "  "
@@ -303,10 +297,9 @@ def _parse_window(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep or not lo.removeprefix("-").isdecimal() or not hi.removeprefix("-").isdecimal():
         raise UsageError(f"window must be LO..HI, got {text!r}")
-    try:
-        window = (int(lo), int(hi))
-    except ValueError:  # a bound longer than the interpreter converts
-        raise UsageError(f"window bound is too long: {max(len(lo), len(hi))} digits") from None
+    if max(len(lo), len(hi)) > MAX_DIGITS:
+        raise UsageError(f"window bound is too long: {max(len(lo), len(hi))} digits")
+    window = (int(lo), int(hi))
     if not 0 <= window[0] <= window[1]:
         raise UsageError(f"window must satisfy 0 <= lo <= hi, got {text!r}")
     return window
@@ -428,8 +421,11 @@ def cmd_lunar_age(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 def _parse_day_arg(text: str, flag: str) -> int:
     """A day number given as an integer or a Long Count string."""
-    if text.removeprefix("-").isdecimal():
-        day = read_int(text, flag, 0)
+    digits = text.removeprefix("-")
+    if digits.isdecimal():
+        if len(digits) > MAX_DIGITS:
+            raise DateParseError(f"{flag} is too long: {len(digits)} digits", 0)
+        day = int(text)
         if day < 0:
             raise UsageError(f"{flag} must be non-negative, got {day}")
         return day
@@ -444,11 +440,10 @@ def _parse_day_arg(text: str, flag: str) -> int:
 
 def _parse_ratio(text: str) -> Fraction:
     num, sep, den = text.partition("/")
-    try:
-        valid = sep and num.isdecimal() and den.isdecimal() and int(den) != 0 and int(num) != 0
-    except ValueError:  # a term longer than the interpreter converts
-        raise UsageError(f"ratio term is too long: {max(len(num), len(den))} digits") from None
-    if not valid:
+    valid = sep and num.isdecimal() and den.isdecimal()
+    if valid and max(len(num), len(den)) > MAX_DIGITS:
+        raise UsageError(f"ratio term is too long: {max(len(num), len(den))} digits")
+    if not (valid and int(num) and int(den)):
         raise UsageError(f"ratio must be DAYS/LUNATIONS with positive integers, got {text!r}")
     return Fraction(int(num), int(den))
 
@@ -611,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         envelope = args.run(args, constant)
     except DateParseError as exc:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)
-    except (UsageError, ValueError, OverflowError) as exc:
+    except (UsageError, ValueError) as exc:
         envelope = OutputEnvelope.error(args.command, str(exc))
     except Exception as exc:  # KeyboardInterrupt, SystemExit and a caller's time cap are BaseExceptions and pass
         envelope = _fault(args.command, exc)

@@ -92,20 +92,17 @@ class _TokenError(Exception):
     """
 
 
+#: The most digits a number read from input may have.  Python converts at most
+#: 4300 between int and str by default; a number mayacal derives from one adds
+#: at most 7 digits (×1872000 for an era multiple) and 1 (the correlation's
+#: carry), so every number it writes stays below that limit.
+MAX_DIGITS = 4000
+
+
 def _read_int(token: str, what: str, index: int, shift: int = 0) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise _TokenError(f"{what} is too long: {len(token)} digits", index, shift) from None
-
-
-def read_int(token: str, what: str, at: int) -> int:
-    """The value of the decimal digits ``token``, or a DateParseError at ``at``
-    when it is longer than the interpreter converts (4300 digits by default)."""
-    try:
-        return _read_int(token, what, 0)
-    except _TokenError as exc:
-        raise DateParseError(exc.args[0], at) from None
+    if len(token) > MAX_DIGITS:
+        raise _TokenError(f"{what} is too long: {len(token)} digits", index, shift)
+    return int(token)
 
 
 def expression_from_day(day: int) -> DateExpression:
@@ -139,8 +136,10 @@ def _parse_long_count(word: str) -> LongCount:
     except ValueError:  # era sugar, an empty part, a letter or too many digits
         pass
     else:
-        # int() also reads a sign or an underscore, which are not digits here.
-        if "".join(parts).isdecimal() and katun <= 19 and tun <= 19 and winal <= 17 and kin <= 19:
+        # int() also reads a sign or an underscore, which are not digits here.  No part is
+        # longer than MAX_DIGITS in a word of MAX_DIGITS + 8 (the four dots and four digits).
+        if ("".join(parts).isdecimal() and len(word) <= MAX_DIGITS + 8
+                and katun <= 19 and tun <= 19 and winal <= 17 and kin <= 19):
             return LongCount._make((baktun, katun, tun, winal, kin))
     # Digit by digit: era sugar, or the error to report.  A bad digit further
     # on is reported before an out-of-range one.

@@ -9,6 +9,7 @@ import select
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,15 @@ from mayacal.cli import OutputEnvelope, main
 from mayacal.correlation import GMT_CORRELATION, CorrelationConstant, describe
 from mayacal.cycles import cycle_date
 from mayacal.lunar import search
+from mayacal.notation import MAX_DIGITS
 
 GOLDEN = Path(__file__).parent / "golden"
 GMT = CorrelationConstant(GMT_CORRELATION)
 CALENDAR_ROUND = 18980
 CREATION_CR = "4 Ahau 8 Cumku"  # day 0's Calendar Round, so its matches are the multiples of 18980
 TOO_LONG = "1" * 5000  # past the interpreter's default limit of 4300 digits for int()
+AT_LIMIT = "9" * MAX_DIGITS  # the longest number mayacal reads
+PAST_LIMIT = "9" * 4300  # converts, but a number derived from it would not
 SRC = Path(cli.__file__).parents[1]
 
 
@@ -217,8 +221,20 @@ class TestExitCodes:
             (["lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", f"{TOO_LONG}/81"],
              "ratio term is too long: 5000 digits", None),
             (["convert", "--day", TOO_LONG], "argument --day: value is too long: 5000 digits", None),
+            # Numbers that int() converts, but whose derived day or JDN it could not write.
+            (["convert", "--day", PAST_LIMIT], "argument --day: value is too long: 4300 digits", None),
+            (["--correlation", PAST_LIMIT, "convert", "--day", "5"],
+             "argument --correlation: value is too long: 4300 digits", None),
+            (["convert", CREATION_CR, "--window", f"{10**4300 - 40001}..{PAST_LIMIT}"],
+             "window bound is too long: 4300 digits", None),
+            (["lunar", "age", "--lc", f"{PAST_LIMIT}.0.0.0.0", "--lc0", "0"], "baktun is too long: 4300 digits", 0),
+            (["convert", f"{PAST_LIMIT[1:]}×13(0).0.0.0.0"], "era multiple is too long: 4299 digits", 0),
+            (["convert", f"{PAST_LIMIT}.0.0.0.0"], "baktun is too long: 4300 digits", 0),
+            (["convert", "--day", "9" * (MAX_DIGITS + 1)], f"argument --day: value is too long: {MAX_DIGITS + 1} digits",
+             None),
         ],
-        ids=["long-count", "calendar-round", "lc", "window", "ratio", "day"],
+        ids=["long-count", "calendar-round", "lc", "window", "ratio", "day", "day-4300", "correlation-4300",
+             "window-jdn", "lc-long-count", "era-multiple", "baktun-4300", "day-past-bound"],
     )
     def test_number_past_digit_limit(self, run, fmt, argv, error, position):
         code, out = run("--format", fmt, *argv)
@@ -227,10 +243,35 @@ class TestExitCodes:
             payload = json.loads(out)["payload"]
             assert payload["error"].startswith(error)
             assert payload.get("position") == position
+            assert "raised_at" not in payload
         else:
             assert f"\nerror: {error}" in out
             assert ("\nposition: " in out) == (position is not None)
             assert position is None or out.endswith(f"\nposition: {position}\n")
+            assert "\nraised_at: " not in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,key,value",
+        [
+            (["convert", "--day", AT_LIMIT], "jdn", 2 * int(AT_LIMIT)),
+            (["convert", f"{AT_LIMIT}.0.0.0.0"], "day", int(AT_LIMIT) * 144000),
+            (["convert", f"{AT_LIMIT}×13(0).0.0.0.0"], "jdn", int(AT_LIMIT) * 1872000 + int(AT_LIMIT)),
+            (["convert", CREATION_CR, "--window", f"{int(AT_LIMIT) - 40000}..{AT_LIMIT}"], "count",
+             int(AT_LIMIT) // CALENDAR_ROUND - (int(AT_LIMIT) - 40001) // CALENDAR_ROUND),  # multiples in the window
+            (["lunar", "age", "--lc", f"{AT_LIMIT}×13(0).0.0.0.0", "--lc0", AT_LIMIT, "--ratio", f"{AT_LIMIT}/7"],
+             "lc", int(AT_LIMIT) * 1872000),
+        ],
+        ids=["day", "baktun", "era-multiple", "window", "lunar-age"],
+    )
+    def test_number_at_digit_limit(self, run, fmt, argv, key, value):
+        # The derived numbers (up to 8 digits longer, with the correlation's carry) are still written.
+        code, out = run("--format", fmt, "--correlation", AT_LIMIT, *argv)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["payload"][key] == value
+        else:
+            assert f"\n{key}: {value}\n" in out
 
     def test_mismatch_exits_one(self, run, monkeypatch):
         failing = cli.OutputEnvelope.result(
@@ -242,10 +283,15 @@ class TestExitCodes:
         assert "status: mismatch" in out
         assert "[FAIL] sabotaged: expected 1, got 2" in out
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_unexpected_exception_gets_an_envelope(self, capsys, monkeypatch, fmt):
+    @pytest.mark.parametrize(
+        "fmt,error",
+        [("text", TypeError), ("json", TypeError), ("text", OverflowError), ("json", OverflowError)],
+        ids=["text", "json", "overflow-text", "overflow-json"],
+    )
+    def test_unexpected_exception_gets_an_envelope(self, capsys, monkeypatch, fmt, error):
+        # No input reaches an OverflowError; the one mayacal raises (lcm_factorization's 2^63 guard) is a fault.
         def broken(args, constant):
-            raise TypeError("boom")
+            raise error("boom")
 
         monkeypatch.setattr(cli, "cmd_factor", broken)
         code = main(["--format", fmt, "factor", "12"])
@@ -255,11 +301,11 @@ class TestExitCodes:
         if fmt == "json":
             data = json.loads(out)  # one document, or this raises
             raised_at = data["payload"].pop("raised_at")
-            assert data == {"command": "factor", "status": "error", "payload": {"error": "TypeError: boom"},
-                            "checks": []}
+            assert data == {"command": "factor", "status": "error",
+                            "payload": {"error": f"{error.__name__}: boom"}, "checks": []}
         else:
             head, raised_at = out.split("\nraised_at: ")
-            assert head == "command: factor\nstatus: error\nerror: TypeError: boom"
+            assert head == f"command: factor\nstatus: error\nerror: {error.__name__}: boom"
             raised_at = raised_at.removesuffix("\n")
         assert raised_at.startswith("test_cli.py:")
 
@@ -861,6 +907,25 @@ def lists_holding_dicts(value) -> list:
     return []
 
 
+def unwritten(value) -> list:
+    """Each value in a payload, at any depth and in the values of its Rows, that is not a str, int, bool,
+    None, list, str-keyed dict or Rows, and each dict key that is not a str: what the renderers do not write."""
+    if type(value) is Rows:
+        return [found for values in map(value.row, value.keys) for v in values for found in unwritten(v)]
+    if type(value) is dict:
+        return [k for k in value if type(k) is not str] + [found for v in value.values() for found in unwritten(v)]
+    if type(value) is list:
+        return [found for v in value for found in unwritten(v)]
+    return [] if type(value) in (str, int, bool, type(None)) else [value]
+
+
+def test_unwritten_finds_each_kind():
+    tzolkin = cycle_date(0).tzolkin  # a record: a tuple, rendered as its str only by jsonable
+    rows = Rows(("value",), lambda v: (v,), [1, Fraction(1, 2)])
+    payload = {"at": tzolkin, 1: [True, None, (2,)], "rows": rows, "nested": {"ok": ["x", -3]}}
+    assert unwritten(payload) == [1, tzolkin, (2,), Fraction(1, 2)]
+
+
 class TestGolden:
     COMMANDS = [
         ("convert_day0.txt", ["convert", "--day", "0"]),
@@ -890,6 +955,12 @@ class TestGolden:
         # One tabular path: a list of records reaches the renderers as Rows, never as dicts.
         args = cli.build_parser().parse_args(argv)
         assert lists_holding_dicts(args.run(args, GMT).to_dict()) == []
+
+    @pytest.mark.parametrize("name,argv", COMMANDS)
+    def test_payload_is_written_as_built(self, name, argv):
+        # The renderers write a payload without converting it, so it holds only what they write.
+        args = cli.build_parser().parse_args(argv)
+        assert unwritten(args.run(args, GMT).payload) == []
 
 
 def test_module_entry_point():

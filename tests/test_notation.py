@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mayacal.cycles import ERA, HAAB_MONTHS, TZOLKIN_NAMES, HaabDate, LongCount, TzolkinDate, cycle_date
 from mayacal.notation import (
+    MAX_DIGITS,
     DateExpression,
     DateParseError,
     era_display,
@@ -73,6 +74,17 @@ class TestParseLongCount:
                 parse(text)
             assert str(exc.value) == f"{what} is too long: 5000 digits (at offset {position})"
             assert exc.value.position == position
+
+    def test_number_at_digit_bound(self):
+        # MAX_DIGITS digits read; one more is too long, though int() would convert it.
+        at, past = "9" * MAX_DIGITS, "9" * (MAX_DIGITS + 1)
+        assert parse(f"{at}.0.0.0.0").long_count.baktun == int(at)
+        assert parse(f"{at}×13(0).0.0.0.0").long_count.baktun == 13 * int(at)
+        for text, what, position in ((f"{past}.0.0.0.0", "baktun", 0), (f"{past}×13(0).0.0.0.0", "era multiple", 0),
+                                     (f"9.9.{past}.0.0", "long count digit", 4)):
+            with pytest.raises(DateParseError) as exc:
+                parse(text)
+            assert str(exc.value) == f"{what} is too long: {MAX_DIGITS + 1} digits (at offset {position})"
 
     def test_whitespace_tolerant(self):
         expr = parse("  9.9.16.0.0   4   Ahau   8   Cumku  ")

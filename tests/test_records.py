@@ -1,8 +1,9 @@
 """Semantics every record keeps: construction, equality, hashing, repr and immutability.
 
-The fifteen immutable records are named tuples; ``Report`` and
-``OutputEnvelope`` are the two mutable ones.  Each entry of ``RECORDS`` names
-the fields in their constructor order, so a renamed or reordered field fails here.
+All seventeen records are named tuples.  ``Report`` and ``OutputEnvelope``
+each hold their own ``checks`` list, which makes them the two mutable,
+unhashable ones.  Each entry of ``RECORDS`` names the fields in their
+constructor order, so a renamed or reordered field fails here.
 """
 
 from fractions import Fraction
