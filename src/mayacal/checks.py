@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from fractions import Fraction
 from numbers import Number, Rational
 from typing import Any, NamedTuple
 
@@ -32,9 +31,7 @@ class Rows:
 
 
 def jsonable(value: Any) -> Any:
-    """A check's value, written losslessly (Fractions as 'n/d'); payloads are built of such values already."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
+    """A check's value, written losslessly (a Fraction as its str, 'n/d'); payloads are built of such values already."""
     if type(value) in (list, tuple):  # a record is a tuple too, but renders as its str
         return [jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -2,15 +2,16 @@
 
 Every command builds one :class:`OutputEnvelope`; the ``--format`` flag
 picks the rendering (text or JSON) of that same envelope, so the two views
-never diverge.  A bad command line gets an envelope too, in the format that
-``--format`` or ``$MAYACAL_FORMAT`` asks for.  The envelope is written to
-stdout as it is made, so a window of millions of matches streams in bounded
-memory, and a call killed part-way leaves a truncated document.  Exit codes:
-0 success, 1 verification mismatch, 2 usage or parse error, 3 a fault in
-mayacal, 120 stdout closed by its reader (as in ``mayacal ... | head``).
-A fault gets an error envelope naming where it was raised, also one raised
-while the envelope renders its rows; once part of the document is written,
-stdout is left truncated instead and the fault is one line on stderr.
+never diverge.  The format is read once, from argv before argparse reads it
+(else ``$MAYACAL_FORMAT``), so a bad command line gets its envelope in it too.
+The envelope is written to stdout as it is made, so a window of millions of
+matches streams in bounded memory, and a call killed part-way leaves a
+truncated document.  Exit codes: 0 success, 1 verification mismatch, 2 usage
+or parse error, 3 a fault in mayacal, 120 stdout closed by its reader (as in
+``mayacal ... | head``).  A fault gets an error envelope naming where it was
+raised, also one raised while the envelope renders its rows; once part of the
+document is written, stdout is left truncated instead and the fault is one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ class OutputEnvelope(NamedTuple("OutputEnvelope", [("command", str), ("status", 
 
     @classmethod
     def result(cls, command: str, payload: dict, checks: list[Check] | None = None) -> "OutputEnvelope":
-        checks = checks or []
-        status = "mismatch" if any(not c.passed for c in checks) else "ok"
+        status = "mismatch" if checks and not all(c.passed for c in checks) else "ok"
         return cls(command=command, status=status, payload=payload, checks=checks)
 
     @classmethod
@@ -151,13 +151,8 @@ class OutputEnvelope(NamedTuple("OutputEnvelope", [("command", str), ("status", 
         return {"ok": 0, "mismatch": 1}.get(self.status, FAULT_EXIT if "raised_at" in self.payload else 2)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "status": self.status,
-            "payload": self.payload,
-            "checks": Rows(_CHECK_FIELDS, lambda c: (c.name, jsonable(c.expected), jsonable(c.computed), c.passed),
-                           self.checks),
-        }
+        return {**self._asdict(), "checks": Rows(
+            _CHECK_FIELDS, lambda c: (c.name, jsonable(c.expected), jsonable(c.computed), c.passed), self.checks)}
 
     def render(self, fmt: str) -> Iterator[str]:
         """The ``fmt`` rendering ("text" or "json") in pieces, each made as it is read."""
@@ -526,16 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_format(asked: str | None) -> str:
-    fmt = asked if asked in FORMATS else os.environ.get(FORMAT_ENV_VAR)
-    return fmt if fmt in FORMATS else "text"
-
-
-def _asked_format(argv: list[str]) -> str | None:
-    """The last well-formed ``--format X`` or ``--format=X`` (or an abbreviation
-    such as ``--form``, as argparse reads them) of a command line that failed
-    to parse as a whole; a flag with no format after it is passed over."""
-    asked = None
+def _output_format(argv: list[str]) -> str:
+    """The last well-formed ``--format X`` or ``--format=X`` (or an abbreviation such as ``--form``,
+    as argparse reads them), else ``$MAYACAL_FORMAT``, else text; a flag with no format after it
+    is passed over, so a line argparse refuses gets the format it would have kept."""
+    fmt = os.environ.get(FORMAT_ENV_VAR)
     for i, arg in enumerate(argv):
         if arg == "--":  # what follows is positional
             break
@@ -544,8 +534,8 @@ def _asked_format(argv: list[str]) -> str | None:
             if not eq:
                 value = argv[i + 1] if i + 1 < len(argv) else None
             if value in FORMATS:
-                asked = value
-    return asked
+                fmt = value
+    return fmt if fmt in FORMATS else "text"
 
 
 def _fault(command: str, exc: Exception) -> OutputEnvelope:
@@ -596,10 +586,11 @@ def _emit(envelope: OutputEnvelope, fmt: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    fmt = _output_format(argv)  # argparse checks the flag, but a line it refuses is answered in this format too
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        return _emit(OutputEnvelope.error(exc.command, str(exc)), _output_format(_asked_format(argv)))
+        return _emit(OutputEnvelope.error(exc.command, str(exc)), fmt)
 
     try:
         constant = CorrelationConstant(getattr(args, "correlation", GMT_CORRELATION))
@@ -610,7 +601,7 @@ def main(argv: list[str] | None = None) -> int:
         envelope = OutputEnvelope.error(args.command, str(exc))
     except Exception as exc:  # KeyboardInterrupt, SystemExit and a caller's time cap are BaseExceptions and pass
         envelope = _fault(args.command, exc)
-    return _emit(envelope, _output_format(getattr(args, "format", None)))
+    return _emit(envelope, fmt)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ correlation, the unique constant placing the creation day on 11 August
 21 December 2012.  The constant is configurable for competing correlations
 (e.g. 584285).
 
-Civil conversions use the standard integer Julian/Gregorian algorithms
-with astronomical year numbering (year 0 = 1 BC); "BC" appears only in
-display strings.  Because sources rarely state which calendar a historical
-date is written in, :func:`describe` always reports both.
+Civil conversions use the integer Julian/Gregorian algorithms of Fliegel &
+Van Flandern (Commun. ACM, 1968), the one statement of the leap rules: a civil
+date is valid when it converts back to itself.  Years are astronomical (0 = 1
+BC); "BC" is only displayed.  Because sources rarely state which calendar a
+historical date is written in, :func:`describe` always reports both.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ MONTH_NAMES = (
     "July", "August", "September", "October", "November", "December",
 )
 
-_DAYS_IN_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
 
 class CorrelationConstant(NamedTuple("CorrelationConstant", [("jdn_at_creation", int)])):
     """JDN assigned to day 0 of the count."""
@@ -46,18 +45,6 @@ class CorrelationConstant(NamedTuple("CorrelationConstant", [("jdn_at_creation",
 GMT = CorrelationConstant()
 
 
-def is_leap_year(year: int, calendar: Calendar) -> bool:
-    if calendar == "julian":
-        return year % 4 == 0
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-
-def month_length(year: int, month: int, calendar: Calendar) -> int:
-    if month == 2 and is_leap_year(year, calendar):
-        return 29
-    return _DAYS_IN_MONTH[month - 1]
-
-
 class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", int), ("calendar", Calendar)])):
     """A calendar date; ``year`` is astronomical (0 = 1 BC, -1 = 2 BC, ...)."""
 
@@ -69,9 +56,10 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
             raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
         if not 1 <= month <= 12:
             raise ValueError(f"month must be 1..12, got {month}")
-        if not 1 <= day <= month_length(year, month, calendar):
+        date = super().__new__(cls, year, month, day, calendar)
+        if _civil_fields(civil_to_jdn(date), calendar) != (year, month, day):  # a day past its month is another date
             raise ValueError(f"day {day} invalid for {year}-{month:02d} ({calendar})")
-        return super().__new__(cls, year, month, day, calendar)
+        return date
 
     @property
     def year_display(self) -> str:
@@ -111,7 +99,7 @@ def jdn_to_civil(jdn: int, calendar: Calendar) -> CivilDate:
 
 
 def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int]:
-    """Year, month and day at a non-negative Julian Day Number, in a calendar :func:`jdn_to_civil` accepts."""
+    """Year, month and day at a Julian Day Number (negative ones too), in a calendar :func:`jdn_to_civil` accepts."""
     if calendar == "gregorian":
         a = jdn + 32044
         b = (4 * a + 3) // 146097

@@ -11,12 +11,16 @@ Grammar (whitespace-tolerant, names case-insensitive):
 
 Parse errors carry the byte offset of the offending token.  "13(0)" and
 "k×13(0)" are the era-completion sugar that :func:`era_display` prints; any
-other parenthetical or multiplier, or an ASCII "x", is an error.
+other parenthetical or multiplier, or an ASCII "x", is an error.  A bare
+"13(0)" is day v or ERA + v (v the lower digits' value), whichever the Calendar
+Round agrees with (ERA is 11960 mod 18980, so at most one does): creation,
+"13(0).0.0.0.0 4 Ahau 8 Cumku", is day 0.  Otherwise it is baktun 13.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .arith import checked_replace, crt
@@ -92,11 +96,11 @@ class _TokenError(Exception):
     """
 
 
-#: The most digits a number read from input may have.  Python converts at most
-#: 4300 between int and str by default; a number mayacal derives from one adds
-#: at most 7 digits (×1872000 for an era multiple) and 1 (the correlation's
-#: carry), so every number it writes stays below that limit.
-MAX_DIGITS = 4000
+#: The most digits a number read from input may have: at most 4000, and 8 below
+#: the interpreter's int/str limit (``sys.get_int_max_str_digits()``, 4300 by
+#: default, 0 for none), as a number mayacal derives from one adds at most 7
+#: digits (×1872000 for an era multiple) and 1 (the correlation's carry).
+MAX_DIGITS = min(4000, (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4008) - 8)
 
 
 def _read_int(token: str, what: str, index: int, shift: int = 0) -> int:
@@ -203,6 +207,10 @@ def parse(text: str) -> DateExpression:
             long_count, first = _parse_long_count(words[0]), 1
         if len(words) > first:
             tzolkin, haab = _parse_calendar_round(words, first)
+            if words[0].startswith("13(0)."):  # the Era's completion: day v or ERA + v, as the Round agrees
+                _, at_tzolkin, at_haab, *_ = cycle_date(long_count.days - ERA)
+                if (at_tzolkin, at_haab) == (tzolkin, haab):
+                    long_count = LongCount._make((0, *long_count[1:]))
     except _TokenError as exc:
         message, index, shift = exc.args
         at = 0
@@ -216,8 +224,9 @@ def era_display(day: int) -> str:
     """Era-completion notation for whole multiples of the 13-baktun Era.
 
     Day 0 and day 1872000 are both written "13(0).0.0.0.0" (creation is the
-    completion of the previous era); larger multiples carry a multiplier,
-    e.g. "365×13(0).0.0.0.0" for the 5 Aeon, which :func:`parse` reads back.
+    completion of the previous era), told apart by a Calendar Round after it;
+    larger multiples carry a multiplier, e.g. "365×13(0).0.0.0.0" for the
+    5 Aeon.  :func:`parse` reads each back.
     """
     if day < 0:
         raise ValueError(f"day must be non-negative, got {day}")

@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mayacal.arith import (
@@ -356,7 +356,12 @@ def test_lcm_order_independent(values):
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=6))
+@example([137, 1016, 1637, 2465, 3687, 4457])  # LCM 9229871395499451240, past 2**63 - 1
 def test_lcm_matches_pairwise_oracle(values):
+    if math.lcm(*values) > INT63_MAX:  # six values up to 5000 can pass it
+        with pytest.raises(OverflowError):
+            lcm_factorization(values)
+        return
     f = lcm_factorization(values)
     assert f.value == pairwise_lcm(values)
     assert f.value == math.lcm(*values)

@@ -273,6 +273,39 @@ class TestExitCodes:
         else:
             assert f"\n{key}: {value}\n" in out
 
+    @pytest.mark.parametrize("limit,bound", [("640", 632), ("1000", 992), ("0", 4000)])
+    def test_digit_bound_follows_the_interpreter(self, monkeypatch, limit, bound):
+        # 0 lifts the interpreter's limit; the bound stays 8 digits below one that is set, and at most 4000.
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", limit)
+        proc = python("-c", "from mayacal.notation import MAX_DIGITS; print(MAX_DIGITS)")
+        assert proc.stdout == f"{bound}\n", proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv,error,position",
+        [
+            (["convert", f"{'9' * 639}×13(0).0.0.0.0"], "era multiple is too long: 639 digits (at offset 0)", 0),
+            (["convert", "--day", "9" * 700], "argument --day: value is too long: 700 digits", None),
+        ],
+        ids=["era-multiple", "day"],
+    )
+    def test_number_past_a_lowered_interpreter_limit(self, monkeypatch, fmt, argv, error, position):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+        proc = python("-m", "mayacal", "--format", fmt, *argv)
+        assert proc.returncode == 2, proc.stderr
+        payload = {"error": error} if position is None else {"error": error, "position": position}
+        if fmt == "json":
+            assert json.loads(proc.stdout)["payload"] == payload
+        else:
+            assert proc.stdout.endswith("".join(f"\n{key}: {value}" for key, value in payload.items()) + "\n")
+
+    def test_number_at_a_lowered_interpreter_limit(self, monkeypatch):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+        multiple = "9" * 632
+        proc = python("-m", "mayacal", "--format", "json", "convert", f"{multiple}×13(0).0.0.0.0")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["payload"]["jdn"] == int(multiple) * 1872000 + GMT_CORRELATION
+
     def test_mismatch_exits_one(self, run, monkeypatch):
         failing = cli.OutputEnvelope.result(
             "verify", {}, [Check("sabotaged", 1, 2, False)]
@@ -564,6 +597,18 @@ class TestConvert:
         assert code == 0
         assert "day: 683280000" in out
         assert "long_count_annotated: 365×13(0).0.0.0.0" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("text,day", [("13(0).0.0.0.0 4 Ahau 8 Cumku", 0),  # the abstract's creation date
+                                          ("13(0).0.0.0.0 4 Ahau 3 Kankin", 1872000), ("13(0).0.0.0.0", 1872000)])
+    def test_era_completion_as_displayed(self, run, fmt, text, day):
+        code, out = run("--format", fmt, "convert", text)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(out)["payload"]
+            assert (payload["day"], payload["long_count_annotated"]) == (day, "13(0).0.0.0.0")
+        else:
+            assert f"\nday: {day}\n" in out and "\nlong_count_annotated: 13(0).0.0.0.0\n" in out
 
     def test_calendar_round_needs_window(self, run):
         code, out = run("convert", "4 Ahau 3 Kankin")

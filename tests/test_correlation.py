@@ -2,6 +2,8 @@ import random
 from datetime import date as _pydate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mayacal.correlation import (
     GMT,
@@ -10,7 +12,6 @@ from mayacal.correlation import (
     CorrelationConstant,
     civil_to_jdn,
     describe,
-    is_leap_year,
     jdn_to_civil,
     to_jdn,
 )
@@ -87,11 +88,18 @@ class TestDescribe:
 
 class TestCivilDate:
     def test_leap_rules(self):
-        assert is_leap_year(1900, "julian")
-        assert not is_leap_year(1900, "gregorian")
-        assert is_leap_year(2000, "gregorian")
-        assert is_leap_year(0, "gregorian")
-        assert is_leap_year(-3112, "julian")  # astronomical year -3112 % 4 == 0
+        CivilDate(1900, 2, 29, "julian")
+        with pytest.raises(ValueError, match=r"^day 29 invalid for 1900-02 \(gregorian\)$"):
+            CivilDate(1900, 2, 29, "gregorian")
+        CivilDate(2000, 2, 29, "gregorian")
+        CivilDate(0, 2, 29, "gregorian")
+        CivilDate(-3112, 2, 29, "julian")  # astronomical year -3112 % 4 == 0
+
+    def test_replace_checks_the_day(self):
+        with pytest.raises(ValueError, match="day 30 invalid for 2000-02"):
+            CivilDate(2000, 2, 1, "gregorian")._replace(day=30)
+        with pytest.raises(ValueError, match="day 29 invalid for -3113-02"):
+            CivilDate(-3113, 2, 28, "julian")._replace(day=29)
 
     def test_validation(self):
         CivilDate(1900, 2, 29, "julian")
@@ -157,3 +165,41 @@ def test_leap_day_round_trips():
     for year, calendar in ((2000, "gregorian"), (1900, "julian"), (-3112, "julian"), (0, "gregorian")):
         d = CivilDate(year, 2, 29, calendar)
         assert jdn_to_civil(civil_to_jdn(d), calendar) == d
+
+
+def leap_rule_accepts(year, month, day, calendar):
+    """Oracle: the leap-year and month-length rule, stated apart from the JDN algorithms."""
+    leap = year % 4 == 0 and (calendar == "julian" or year % 100 != 0 or year % 400 == 0)
+    return 1 <= day <= (31, 29 if leap else 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)[month - 1]
+
+
+def civil_date_accepts(year, month, day, calendar):
+    try:
+        CivilDate(year, month, day, calendar)
+    except ValueError as exc:
+        assert str(exc) == f"day {day} invalid for {year}-{month:02d} ({calendar})"
+        return False
+    return True
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(("julian", "gregorian")), st.integers(-10**6, 10**6) | st.integers(-5000, 3000),
+       st.integers(1, 12), st.integers(0, 32))
+@example("gregorian", -10**6, 2, 29)  # JDN about -3.6e8
+@example("julian", -4716, 2, 29)  # a leap day before JDN 0, 1 January 4713 BC (year -4712)
+@example("gregorian", 10**6, 2, 29)
+@example("gregorian", -100, 2, 29)
+def test_civil_date_accepts_what_the_leap_rule_accepts(calendar, year, month, day):
+    assert civil_date_accepts(year, month, day, calendar) == leap_rule_accepts(year, month, day, calendar)
+
+
+def test_civil_date_agrees_with_the_leap_rule_on_every_day():
+    # Every (calendar, year, month, day) over two whole 400-year cycles, one around year 0 and one
+    # where the JDN is negative, and eight years at a million; days 0..32 take in both ends of every month.
+    years = [*range(-200, 200), *range(-5000, -4600), *range(10**6 - 4, 10**6 + 4)]
+    for calendar in ("julian", "gregorian"):
+        for year in years:
+            for month in range(1, 13):
+                for day in range(0, 33):
+                    date = (year, month, day, calendar)
+                    assert civil_date_accepts(*date) == leap_rule_accepts(*date), date

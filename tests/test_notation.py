@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mayacal.cycles import ERA, HAAB_MONTHS, TZOLKIN_NAMES, HaabDate, LongCount, TzolkinDate, cycle_date
@@ -28,10 +28,19 @@ class TestParseLongCount:
         assert expr.tzolkin is None and expr.haab is None
 
     def test_era_parenthetical(self):
-        expr = parse("13(0).0.0.0.0 4 Ahau 8 Cumku")
-        assert expr.long_count == LongCount(13, 0, 0, 0, 0)
+        expr = parse("13(0).0.0.0.0 4 Ahau 8 Cumku")  # creation: the Calendar Round of day 0
+        assert expr.long_count == LongCount(0, 0, 0, 0, 0)
         assert expr.tzolkin == TzolkinDate(4, 19)
         assert expr.haab == HaabDate(8, 17)
+        assert parse("13(0).0.0.0.0 4 Ahau 3 Kankin").long_count == LongCount(13, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("v", [0, 1, 7200, 18979, 18980, 143999])  # what the four lower digits can write
+    def test_era_parenthetical_takes_the_day_its_round_agrees_with(self, v):
+        lower = "{}.{}.{}.{}".format(*cycle_date(v).long_count[1:])
+        for day in (v, ERA + v):
+            expr = parse(f"13(0).{lower} {cycle_date(day).calendar_round}")
+            assert expr.long_count.days == day
+            assert resolution(expr, (0, 2 * ERA)).days == range(day, day + 1)
 
     def test_only_era_parenthetical(self):
         assert parse("13(0).0.0.0.0").long_count == LongCount(13, 0, 0, 0, 0)
@@ -231,10 +240,13 @@ class TestResolve:
         assert tuple(resolution(expr, (0, 18979)).days) == ()
 
     def test_inconsistent_combined_flagged(self):
-        expr = parse("13(0).0.0.0.0 4 Ahau 8 Cumku")  # era notation: baktun 13
-        found = resolution(expr, (0, 2 * 10**6))
-        assert tuple(found.days) == ()
-        assert found.inconsistent
+        # Plain digits, or an era completion whose Round agrees with neither day: baktun 13.
+        for text in ("13.0.0.0.0 4 Ahau 8 Cumku", "13(0).0.0.0.0 1 Imix 0 Pop"):
+            expr = parse(text)
+            assert expr.long_count == LongCount(13, 0, 0, 0, 0)
+            found = resolution(expr, (0, 2 * 10**6))
+            assert tuple(found.days) == ()
+            assert found.inconsistent
 
     def test_consistent_combined(self):
         expr = parse("13.0.0.0.0 4 Ahau 3 Kankin")
@@ -306,12 +318,14 @@ def test_round_trip_property(day):
 
 @given(
     st.one_of(
-        st.integers(min_value=1, max_value=10 * ERA),
-        st.integers(min_value=1, max_value=511).map(lambda k: k * ERA),
+        st.integers(min_value=0, max_value=10 * ERA),
+        st.integers(min_value=0, max_value=511).map(lambda k: k * ERA),
     )
 )
+@example(0)  # 13(0).0.0.0.0 4 Ahau 8 Cumku
+@example(ERA)  # 13(0).0.0.0.0 4 Ahau 3 Kankin
+@example(365 * ERA)  # 365×13(0).0.0.0.0 4 Ahau 8 Cumku
 def test_annotated_round_trip_resolves(day):
-    # Day 0 is excluded: its annotated form 13(0).0.0.0.0 reads as baktun 13.
     text = format_date(expression_from_day(day), "annotated")
     assert tuple(resolution(parse(text), (day, day)).days) == (day,)
 
@@ -503,7 +517,5 @@ def test_parsed_records_are_checked(digits, calendar_round):
     st.sampled_from(("plain", "annotated")),
 )
 def test_formatted_day_resolves_to_itself(day, style):
-    # Day 0 is the documented exception: its annotated form 13(0).0.0.0.0 reads as baktun 13.
-    assume(day != 0 or style == "plain")
     text = format_date(expression_from_day(day), style)
     assert resolution(parse(text), (day, day)).days == range(day, day + 1)
