@@ -15,18 +15,21 @@ as ``main`` renders it: a 1001-match window, timed whole and divided by its
 matches.  The "verify all, json" and "table cultural-dates" lines render
 those commands' envelopes, made once, as ``main`` renders them (the table in
 text), so that a change to the renderers can be timed without start-up.  The
-last line is a whole day's round trip, the sequence that the benchmark's
-day-batch workload times for each day.
+last two lines are a whole day's round trip, the sequence that the benchmark's
+day-batch workload times for each day: of the Long Round day, and of the Era
+multiple 365×13(0).0.0.0.0 4 Ahau 8 Cumku, whose annotated Long Count the parser
+reads digit by digit.
 """
 
 import timeit
 
 from mayacal import cli
 from mayacal.correlation import GMT, describe
-from mayacal.cycles import cycle_date
+from mayacal.cycles import ERA, cycle_date
 from mayacal.notation import expression_from_day, format_date, parse, resolution
 
 DAY = 1366560
+ERA_DAY = 365 * ERA
 WINDOW_MATCHES = 1001  # the days 0, 18980, ..., 18980000 of 4 Ahau 8 Cumku
 
 
@@ -60,6 +63,7 @@ def main():
         "verify all, json": lambda: "".join(verify.render("json")),
         "table cultural-dates": lambda: "".join(table.render("text")),
         "day round trip": lambda: round_trip(DAY),
+        "era day round trip": lambda: round_trip(ERA_DAY),
     }
     for name, call in calls.items():
         number = max(1, timeit.Timer(call).autorange()[0] // 20)

@@ -74,6 +74,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: ``new_record(Record, values)`` is ``Record._make(values)`` without its classmethod call and length check.
+new_record = tuple.__new__
+
+
 def checked_replace(record, /, **changes):
     """``_replace`` for a record that checks its fields in ``__new__``: the copy is
     built by the constructor, where the named tuple's own goes through ``_make``."""
@@ -103,7 +107,7 @@ class Factorization(NamedTuple("Factorization", [("factors", tuple[tuple[int, in
             if mult < 1:
                 raise ValueError(f"multiplicity of {prime} must be >= 1, got {mult}")
             last = prime
-        return super().__new__(cls, factors)
+        return new_record(cls, (factors,))
 
     @property
     def value(self) -> int:
@@ -131,7 +135,7 @@ def factorize(n: int) -> Factorization:
     every small prime; it alone factors every n below ``TRIAL_BOUND**2``,
     which covers every period in the model.  A larger cofactor is prime by
     :func:`is_prime` or is split by Brent-Pollard rho, and each part again.
-    Each prime is divided out or proven, so the result is built with ``_make``.
+    Each prime is divided out or proven, so the result is built with :data:`new_record`.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
@@ -154,7 +158,7 @@ def factorize(n: int) -> Factorization:
     elif remaining > 1:
         large = _large_prime_factors(remaining)
         factors += ((p, large.count(p)) for p in sorted(set(large)))
-    return Factorization._make((tuple(factors),))
+    return new_record(Factorization, (tuple(factors),))
 
 
 def _large_prime_factors(m: int) -> list[int]:
@@ -214,7 +218,7 @@ def lcm_factorization(values: list[int] | tuple[int, ...]) -> Factorization:
         for prime, mult in factorize(v).factors:
             if mult > merged.get(prime, 0):
                 merged[prime] = mult
-    result = Factorization._make((tuple(sorted(merged.items())),))
+    result = new_record(Factorization, (tuple(sorted(merged.items())),))
     if result.value > INT63_MAX:
         raise OverflowError(f"lcm {result.value} exceeds 2**63 - 1")
     return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .arith import checked_replace
+from .arith import checked_replace, new_record
 
 GMT_CORRELATION = 584283
 
@@ -39,7 +39,7 @@ class CorrelationConstant(NamedTuple("CorrelationConstant", [("jdn_at_creation",
     def __new__(cls, jdn_at_creation: int = GMT_CORRELATION) -> CorrelationConstant:
         if jdn_at_creation <= 0:
             raise ValueError(f"correlation constant must be positive, got {jdn_at_creation}")
-        return super().__new__(cls, jdn_at_creation)
+        return new_record(cls, (jdn_at_creation,))
 
 
 GMT = CorrelationConstant()
@@ -56,7 +56,7 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
             raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
         if not 1 <= month <= 12:
             raise ValueError(f"month must be 1..12, got {month}")
-        date = super().__new__(cls, year, month, day, calendar)
+        date = new_record(cls, (year, month, day, calendar))
         if _civil_fields(civil_to_jdn(date), calendar) != (year, month, day):  # a day past its month is another date
             raise ValueError(f"day {day} invalid for {year}-{month:02d} ({calendar})")
         return date
@@ -95,7 +95,7 @@ def jdn_to_civil(jdn: int, calendar: Calendar) -> CivilDate:
         raise ValueError(f"jdn must be non-negative, got {jdn}")
     if calendar not in ("julian", "gregorian"):
         raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
-    return CivilDate._make((*_civil_fields(jdn, calendar), calendar))  # in range by construction
+    return new_record(CivilDate, _civil_fields(jdn, calendar) + (calendar,))  # in range by construction
 
 
 def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int]:
@@ -134,5 +134,6 @@ class CorrelationReport(NamedTuple):
 
 def describe(day: int, constant: CorrelationConstant = GMT) -> CorrelationReport:
     """JDN plus Julian and proleptic-Gregorian dates of a day of the count."""
-    jdn = to_jdn(day, constant)
-    return CorrelationReport(jdn, jdn_to_civil(jdn, "julian"), jdn_to_civil(jdn, "gregorian"))
+    jdn = to_jdn(day, constant)  # positive, as the day is checked and the constant positive
+    return new_record(CorrelationReport, (jdn, new_record(CivilDate, _civil_fields(jdn, "julian") + ("julian",)),
+                                          new_record(CivilDate, _civil_fields(jdn, "gregorian") + ("gregorian",))))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import checked_replace, crt
+from .arith import checked_replace, crt, new_record
 
 TZOLKIN_NAMES = (
     "Imix", "Ik", "Akbal", "Kan", "Chicchan", "Cimi", "Manik", "Lamat",
@@ -71,7 +71,7 @@ class TzolkinDate(NamedTuple("TzolkinDate", [("number", int), ("name_index", int
             raise ValueError(f"Tzolk'in number must be 1..13, got {number}")
         if not 0 <= name_index <= 19:
             raise ValueError(f"Tzolk'in name index must be 0..19, got {name_index}")
-        return super().__new__(cls, number, name_index)
+        return new_record(cls, (number, name_index))
 
     @property
     def name(self) -> str:
@@ -105,7 +105,7 @@ class HaabDate(NamedTuple("HaabDate", [("day", int), ("month_index", int)])):
             raise ValueError(
                 f"Haab' day {day} out of range 0..{limit} for {HAAB_MONTHS[month_index]}"
             )
-        return super().__new__(cls, day, month_index)
+        return new_record(cls, (day, month_index))
 
     @property
     def month_name(self) -> str:
@@ -142,7 +142,7 @@ class LongCount(NamedTuple("LongCount", [(name, int) for name, _ in LONG_COUNT_D
                 raise ValueError(f"{field_name} must be non-negative, got {value}")
             if limit is not None and value > limit:
                 raise ValueError(f"{field_name} must be <= {limit}, got {value}")
-        return super().__new__(cls, *digits)
+        return new_record(cls, digits)
 
     @property
     def days(self) -> int:
@@ -207,16 +207,19 @@ def long_count_from_day(day: int) -> LongCount:
     return LongCount(baktun, katun, tun, winal, kin)
 
 
-def cycle_date(day: int) -> CycleDate:
-    """All cyclical positions of a day number (pre-creation days rejected), in closed
-    form: each is a residue or digit of the day, in range, so records are built with ``_make``."""
+def calendar_parts(day: int) -> tuple[LongCount, TzolkinDate, HaabDate]:
+    """A day's Long Count, Tzolk'in and Haab' (pre-creation days rejected), in closed form: each value
+    is a digit or residue of the day, in range, so each record is built by :data:`~.arith.new_record`."""
     if day < 0:
         raise ValueError(f"day must be non-negative, got {day}")
     tzolkin = day + TZOLKIN_EPOCH - 1  # zero-based ordinals; 13 and 20 divide the 260 days
     haab = (day + HAAB_EPOCH - 1) % HAAB_DAYS
+    return (new_record(LongCount, (day // BAKTUN, day // KATUN % 20, day // TUN % 20, day // WINAL % 18, day % WINAL)),
+            new_record(TzolkinDate, (tzolkin % 13 + 1, tzolkin % 20)), new_record(HaabDate, (haab % 20, haab // 20)))
+
+
+def cycle_date(day: int) -> CycleDate:
+    """All cyclical positions of a day number: :func:`calendar_parts`'s records and the Kawil count's residues."""
+    long_count, tzolkin, haab = calendar_parts(day)
     kawil = day + KAWIL_EPOCH
-    return CycleDate._make((
-        day, TzolkinDate._make((tzolkin % 13 + 1, tzolkin % 20)), HaabDate._make((haab % 20, haab // 20)),
-        kawil % KAWIL_DAYS, kawil // KAWIL_DAYS % 4,
-        LongCount._make((day // BAKTUN, day // KATUN % 20, day // TUN % 20, day // WINAL % 18, day % WINAL)),
-    ))
+    return new_record(CycleDate, (day, tzolkin, haab, kawil % KAWIL_DAYS, kawil // KAWIL_DAYS % 4, long_count))

@@ -23,7 +23,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .arith import checked_replace, crt
+from .arith import checked_replace, crt, new_record
 from .cycles import (
     ERA,
     HAAB_DAYS,
@@ -38,7 +38,7 @@ from .cycles import (
     HaabDate,
     LongCount,
     TzolkinDate,
-    cycle_date,
+    calendar_parts,
 )
 
 _TZOLKIN_BY_NAME = {name.lower(): i for i, name in enumerate(TZOLKIN_NAMES)}
@@ -79,7 +79,7 @@ class DateExpression(NamedTuple("DateExpression", [
                 raise ValueError(f"Kawil count must be 0..818, got {count}")
             if not 0 <= color <= 3:
                 raise ValueError(f"direction-color must be 0..3, got {color}")
-        return super().__new__(cls, long_count, tzolkin, haab, kawil)
+        return new_record(cls, (long_count, tzolkin, haab, kawil))
 
 
 class Resolution(NamedTuple):
@@ -111,8 +111,7 @@ def _read_int(token: str, what: str, index: int, shift: int = 0) -> int:
 
 def expression_from_day(day: int) -> DateExpression:
     """The full combined expression (Long Count + Calendar Round) of a day."""
-    _, tzolkin, haab, _, _, long_count = cycle_date(day)
-    return DateExpression._make((long_count, tzolkin, haab, None))
+    return new_record(DateExpression, calendar_parts(day) + (None,))
 
 
 def _parse_baktun(lead: str) -> int:
@@ -144,7 +143,7 @@ def _parse_long_count(word: str) -> LongCount:
         # longer than MAX_DIGITS in a word of MAX_DIGITS + 8 (the four dots and four digits).
         if ("".join(parts).isdecimal() and len(word) <= MAX_DIGITS + 8
                 and katun <= 19 and tun <= 19 and winal <= 17 and kin <= 19):
-            return LongCount._make((baktun, katun, tun, winal, kin))
+            return new_record(LongCount, (baktun, katun, tun, winal, kin))
     # Digit by digit: era sugar, or the error to report.  A bad digit further
     # on is reported before an out-of-range one.
     digits = [_parse_baktun(parts[0])]
@@ -160,39 +159,7 @@ def _parse_long_count(word: str) -> LongCount:
         at += len(part) + 1
     if out_of_range is not None:
         raise out_of_range
-    return LongCount._make(digits)
-
-
-def _parse_calendar_round(words: list[str], first: int) -> tuple[TzolkinDate, HaabDate]:
-    """The Calendar Round written as ``words[first:]``."""
-    count = len(words) - first
-    if count < 4:
-        raise _TokenError("calendar round needs <number> <tzolkin-name> <day> <haab-month>",
-                          len(words) - 1, len(words[-1]))
-    if count > 4:
-        raise _TokenError(f"unexpected trailing text {words[first + 4]!r}", first + 4, 0)
-    num_tok, tz_tok, day_tok, month_tok = words[first:]
-
-    if not num_tok.isdecimal():
-        raise _TokenError(f"bad Tzolk'in number {num_tok!r}", first, 0)
-    number = _read_int(num_tok, "Tzolk'in number", first)
-    if not 1 <= number <= 13:
-        raise _TokenError(f"Tzolk'in number {number} out of range 1..13", first, 0)
-    tz_index = _TZOLKIN_BY_NAME.get(tz_tok.lower())
-    if tz_index is None:
-        raise _TokenError(f"unknown Tzolk'in day name {tz_tok!r}", first + 1, 0)
-
-    if not day_tok.isdecimal():
-        raise _TokenError(f"bad Haab' day {day_tok!r}", first + 2, 0)
-    day = _read_int(day_tok, "Haab' day", first + 2)
-    month_index = _HAAB_BY_NAME.get(month_tok.lower())
-    if month_index is None:
-        raise _TokenError(f"unknown Haab' month name {month_tok!r}", first + 3, 0)
-    try:
-        haab = HaabDate(day, month_index)  # the day limit: 19, or 4 in the Uayeb
-    except ValueError as exc:
-        raise _TokenError(str(exc), first + 2, 0) from None
-    return TzolkinDate._make((number, tz_index)), haab
+    return new_record(LongCount, digits)
 
 
 def parse(text: str) -> DateExpression:
@@ -205,19 +172,43 @@ def parse(text: str) -> DateExpression:
     try:
         if "." in words[0]:
             long_count, first = _parse_long_count(words[0]), 1
-        if len(words) > first:
-            tzolkin, haab = _parse_calendar_round(words, first)
+        count = len(words) - first
+        if count:  # the Calendar Round, words[first:]
+            if count < 4:
+                raise _TokenError("calendar round needs <number> <tzolkin-name> <day> <haab-month>",
+                                  len(words) - 1, len(words[-1]))
+            if count > 4:
+                raise _TokenError(f"unexpected trailing text {words[first + 4]!r}", first + 4, 0)
+            num_tok, tz_tok, day_tok, month_tok = words[first:]
+            if not num_tok.isdecimal():
+                raise _TokenError(f"bad Tzolk'in number {num_tok!r}", first, 0)
+            number = _read_int(num_tok, "Tzolk'in number", first)
+            if not 1 <= number <= 13:
+                raise _TokenError(f"Tzolk'in number {number} out of range 1..13", first, 0)
+            tz_index = _TZOLKIN_BY_NAME.get(tz_tok.lower())
+            if tz_index is None:
+                raise _TokenError(f"unknown Tzolk'in day name {tz_tok!r}", first + 1, 0)
+            if not day_tok.isdecimal():
+                raise _TokenError(f"bad Haab' day {day_tok!r}", first + 2, 0)
+            day = _read_int(day_tok, "Haab' day", first + 2)
+            month_index = _HAAB_BY_NAME.get(month_tok.lower())
+            if month_index is None:
+                raise _TokenError(f"unknown Haab' month name {month_tok!r}", first + 3, 0)
+            try:
+                haab = HaabDate(day, month_index)  # the day limit: 19, or 4 in the Uayeb
+            except ValueError as exc:
+                raise _TokenError(str(exc), first + 2, 0) from None
+            tzolkin = new_record(TzolkinDate, (number, tz_index))
             if words[0].startswith("13(0)."):  # the Era's completion: day v or ERA + v, as the Round agrees
-                _, at_tzolkin, at_haab, *_ = cycle_date(long_count.days - ERA)
-                if (at_tzolkin, at_haab) == (tzolkin, haab):
-                    long_count = LongCount._make((0, *long_count[1:]))
+                if calendar_parts(long_count.days - ERA)[1:] == (tzolkin, haab):
+                    long_count = new_record(LongCount, (0, *long_count[1:]))
     except _TokenError as exc:
         message, index, shift = exc.args
         at = 0
         for word in words[:index + 1]:
             at = text.index(word, at) + len(word)
         raise DateParseError(message, at - len(words[index]) + shift) from None
-    return DateExpression._make((long_count, tzolkin, haab, None))
+    return new_record(DateExpression, (long_count, tzolkin, haab, None))
 
 
 def era_display(day: int) -> str:
@@ -237,16 +228,16 @@ def era_display(day: int) -> str:
 
 
 def format_date(expr: DateExpression, style: str = "plain") -> str:
-    """Render an expression; ``annotated`` style marks era completions as 13(0)."""
+    """Render an expression; ``annotated`` style marks era completions, 13k baktuns and lower digits 0, as 13(0)."""
     if style not in ("plain", "annotated"):
         raise ValueError(f"style must be 'plain' or 'annotated', got {style!r}")
     long_count, tzolkin, haab, _ = expr
     parts = []
     if long_count is not None:
-        if style == "annotated" and long_count.days % ERA == 0:
+        if style == "annotated" and long_count[0] % 13 == 0 and long_count[1:] == (0, 0, 0, 0):
             parts.append(era_display(long_count.days))
         else:
-            parts.append("{}.{}.{}.{}.{}".format(*long_count))
+            parts.append("%s.%s.%s.%s.%s" % long_count)
     if tzolkin is not None:
         parts.append(f"{tzolkin[0]} {TZOLKIN_NAMES[tzolkin[1]]}")
     if haab is not None:
@@ -257,16 +248,27 @@ def format_date(expr: DateExpression, style: str = "plain") -> str:
 def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
     """All days in the inclusive window matching every present component.
 
-    Each cycle is a congruence on the day (the Tzolk'in two, one per wheel).
     A Long Count names one day: the result is that day if it lies in the
-    window and meets every congruence, and none otherwise.  Without a Long
-    Count, one :func:`crt` joins the congruences.
+    window and each other component is the day's own, and none otherwise.
+    Without a Long Count, each cycle is a congruence on the day (the Tzolk'in
+    two, one per wheel), and one :func:`crt` joins them.
     """
     lo, hi = window
     if not 0 <= lo <= hi:
         raise ValueError(f"window must satisfy 0 <= lo <= hi, got {window}")
 
     long_count, tzolkin, haab, kawil = expr
+    if long_count is not None:
+        day = long_count.days
+        if not lo <= day <= hi:
+            return new_record(Resolution, (range(0), False))
+        # The day's own Tzolk'in and Haab' ordinals and Kawil sum, in the closed form of cycle_date.
+        tz, hb, kw = day + TZOLKIN_EPOCH - 1, (day + HAAB_EPOCH - 1) % HAAB_DAYS, day + KAWIL_EPOCH
+        if (tzolkin is not None and (tzolkin[0] != tz % 13 + 1 or tzolkin[1] != tz % 20)
+                or haab is not None and (haab[0] != hb % 20 or haab[1] != hb // 20)
+                or kawil is not None and (kawil[0] != kw % KAWIL_DAYS or kawil[1] != kw // KAWIL_DAYS % 4)):
+            return new_record(Resolution, (range(0), True))
+        return new_record(Resolution, (range(day, day + 1), False))
     congruences = []
     if tzolkin is not None:
         # One congruence per wheel: the day's Tzolk'in ordinal, day + TZOLKIN_EPOCH - 1,
@@ -278,18 +280,8 @@ def resolution(expr: DateExpression, window: tuple[int, int]) -> Resolution:
     if kawil is not None:
         count, color = kawil
         congruences.append((KAWIL_DAYS * color + count - KAWIL_EPOCH, KAWIL_CYCLE))
-
-    if long_count is not None:
-        day = long_count.days
-        if not lo <= day <= hi:
-            return Resolution(range(0), False)
-        for residue, modulus in congruences:
-            if (day - residue) % modulus:
-                return Resolution(range(0), True)
-        return Resolution(range(day, day + 1), False)
-
     solved = crt(congruences)
     if solved is None:
-        return Resolution(range(0), False)
+        return new_record(Resolution, (range(0), False))
     base, period = solved
-    return Resolution(range(lo + (base - lo) % period, hi + 1, period), False)
+    return new_record(Resolution, (range(lo + (base - lo) % period, hi + 1, period), False))

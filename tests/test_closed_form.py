@@ -1,10 +1,11 @@
 """One closed form of a day, in ``cycles``.
 
 ``cycle_date``, ``expression_from_day`` and ``describe`` build their records
-with ``_make``, unchecked, so the validating builders are their oracle.  The
-window rows write the closed form out with the constants of ``cycles``; no
-other module spells an epoch or a place value as a literal, which would keep
-its old value if the model's changed.
+with ``new_record`` (``tuple.__new__``), unchecked, so the validating builders
+are their oracle, compared value by value and type by type.  The window rows
+write the closed form out with the constants of ``cycles``; no other module
+spells an epoch or a place value as a literal, which would keep its old value
+if the model's changed.
 """
 
 import ast

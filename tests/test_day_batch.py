@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from mayacal.cycles import ERA
+
 BENCH = Path(__file__).parents[1] / "bench"
 
 
@@ -36,3 +38,12 @@ def test_day_batch_pass_agrees_with_oracle(bench):
     assert [reason for verdict, reason in verdicts if verdict == oracle.WRONG] == []
     failed = [reason for verdict, reason in verdicts if verdict != oracle.OK]
     assert failed == []
+
+
+def test_every_era_multiple_agrees_with_oracle(bench):
+    # Each k×13(0) that era_display prints, k = 0..511: a seeded pass samples a few of them,
+    # and each annotated round trip takes the parser's digit-by-digit branch.
+    _, oracle, worker = bench
+    verdicts = [oracle.check_day_result(d, json.loads(json.dumps(worker.fields(*worker.forward(d)))))
+                for d in range(0, 512 * ERA, ERA)]
+    assert [reason for verdict, reason in verdicts if verdict != oracle.OK] == []

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_closed_form import assert_same_records
 
 from mayacal.cycles import ERA, HAAB_MONTHS, TZOLKIN_NAMES, HaabDate, LongCount, TzolkinDate, cycle_date
 from mayacal.notation import (
@@ -467,7 +468,7 @@ def test_expression_requires_component():
 
 
 def assert_checked(expr):
-    # Each record passes its own validating constructor, so _make admitted nothing out of range.
+    # Each record passes its own validating constructor, so building it unchecked admitted nothing out of range.
     assert DateExpression(*expr) == expr
     for record in expr[:3]:
         if record is not None:
@@ -511,11 +512,17 @@ def test_parsed_records_are_checked(digits, calendar_round):
 
 @given(
     st.one_of(
-        st.integers(min_value=0, max_value=10**12),
-        st.integers(min_value=2, max_value=511).map(lambda k: k * ERA),
+        st.integers(min_value=0, max_value=10**15),
+        st.integers(min_value=0, max_value=10**15 // ERA).map(lambda k: k * ERA),
     ),
     st.sampled_from(("plain", "annotated")),
 )
+@example(0, "annotated")
+@example(ERA, "annotated")
+@example(365 * ERA, "annotated")
 def test_formatted_day_resolves_to_itself(day, style):
-    text = format_date(expression_from_day(day), style)
-    assert resolution(parse(text), (day, day)).days == range(day, day + 1)
+    # What the formatter prints, the parser reads back as the same records, and they name the day alone.
+    expr = expression_from_day(day)
+    back = parse(format_date(expr, style))
+    assert_same_records(back, expr)
+    assert resolution(back, (day, day)) == (range(day, day + 1), False)
