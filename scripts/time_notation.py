@@ -11,10 +11,15 @@ copies without ``src/mayacal/__pycache__`` (``git archive`` makes them): a
 checkout's bytecode cache is read even under ``PYTHONDONTWRITEBYTECODE=1``,
 and it shortens a cold call's imports, though not the calls timed here.  The
 "window row" lines are one match of a ``convert --window`` list, rendered
-as ``main`` renders it: a 1001-match window, timed whole and divided by its
-matches.  The "verify all, json" and "table cultural-dates" lines render
-those commands' envelopes, made once, as ``main`` renders them (the table in
-text), so that a change to the renderers can be timed without start-up.  The
+as ``main`` renders it: a 1001-match window and the 52688-match window
+0..10^9, each timed whole and divided by its matches.  Each repeat builds
+the envelope with ``cmd_convert``, so its rows start from empty window
+tables and fill them, as in a cold call; only the Gregorian day-of-year
+table of ``correlation`` (at most 366 entries, kept by the process) stays
+filled after the first repeat.  The "verify all, json" and "table
+cultural-dates" lines render those commands' envelopes, made once, as
+``main`` renders them (the table in text), so that a change to the
+renderers can be timed without start-up.  The
 last two lines are a whole day's round trip, the sequence that the benchmark's
 day-batch workload times for each day: of the Long Round day, and of the Era
 multiple 365×13(0).0.0.0.0 4 Ahau 8 Cumku, whose annotated Long Count the parser
@@ -22,6 +27,7 @@ reads digit by digit.
 """
 
 import timeit
+from functools import partial
 
 from mayacal import cli
 from mayacal.correlation import GMT, describe
@@ -30,7 +36,8 @@ from mayacal.notation import expression_from_day, format_date, parse, resolution
 
 DAY = 1366560
 ERA_DAY = 365 * ERA
-WINDOW_MATCHES = 1001  # the days 0, 18980, ..., 18980000 of 4 Ahau 8 Cumku
+#: Windows of 4 Ahau 8 Cumku by their matches: the days 0, 18980, ..., 18980000, and 0..10^9.
+WINDOWS = {1001: 18980 * 1000, 52688: 10**9}
 
 
 def round_trip(day: int) -> None:
@@ -42,12 +49,17 @@ def round_trip(day: int) -> None:
         resolution(parse(text), (day, day))
 
 
+def render_window(args, fmt: str) -> None:
+    """A window's envelope built and rendered, as ``main`` does for a ``convert --window`` call."""
+    "".join(cli.cmd_convert(args, GMT).render(fmt))
+
+
 def main():
     expr = expression_from_day(DAY)
     text = format_date(expr)
     parser = cli.build_parser()
-    argv = ["convert", "4 Ahau 8 Cumku", "--window", f"0..{18980 * (WINDOW_MATCHES - 1)}"]
-    window = cli.cmd_convert(parser.parse_args(argv), GMT)
+    windows = {matches: parser.parse_args(["convert", "4 Ahau 8 Cumku", "--window", f"0..{hi}"])
+               for matches, hi in WINDOWS.items()}
     verify = cli.cmd_verify(parser.parse_args(["verify", "all"]), GMT)
     table = cli.cmd_table(parser.parse_args(["table", "cultural-dates"]), GMT)
     calls = {
@@ -58,8 +70,8 @@ def main():
         "format_date annotated": lambda: format_date(expr, "annotated"),
         "resolution": lambda: resolution(expr, (DAY, DAY)),
         "expression_from_day": lambda: expression_from_day(DAY),
-        "window row, text": lambda: "".join(window.render("text")),
-        "window row, json": lambda: "".join(window.render("json")),
+        **{f"window row, {fmt}, {matches}": partial(render_window, args, fmt)
+           for matches, args in windows.items() for fmt in ("text", "json")},
         "verify all, json": lambda: "".join(verify.render("json")),
         "table cultural-dates": lambda: "".join(table.render("text")),
         "day round trip": lambda: round_trip(DAY),
@@ -69,8 +81,8 @@ def main():
         number = max(1, timeit.Timer(call).autorange()[0] // 20)
         best = min(timeit.repeat(call, number=number, repeat=100)) / number
         if name.startswith("window row"):
-            best /= WINDOW_MATCHES
-        print(f"{name:22} {best * 1e6:6.2f} us")
+            best /= int(name.rpartition(" ")[2])
+        print(f"{name:29} {best * 1e6:6.2f} us")
 
 
 if __name__ == "__main__":

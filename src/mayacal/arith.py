@@ -22,6 +22,7 @@ by 2 and then odd d below ``TRIAL_BOUND`` (which alone factors every n below
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -76,6 +77,17 @@ def is_prime(n: int) -> bool:
 
 #: ``new_record(Record, values)`` is ``Record._make(values)`` without its classmethod call and length check.
 new_record = tuple.__new__
+
+
+class Memo(dict):
+    """``memo[key]`` is ``fill(key)``, computed on the first read and kept: a table of what repeats."""
+
+    def __init__(self, fill: Callable) -> None:
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def checked_replace(record, /, **changes):
@@ -165,7 +177,8 @@ def _large_prime_factors(m: int) -> list[int]:
     """Prime factors of ``m``, with repetition; ``m`` has no prime factor below ``TRIAL_BOUND``."""
     if is_prime(m):
         return [m]
-    d = _rho(m)
+    root = math.isqrt(m)
+    d = root if root * root == m else _rho(m)
     return _large_prime_factors(d) + _large_prime_factors(m // d)
 
 

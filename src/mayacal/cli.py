@@ -25,38 +25,16 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, NamedTuple
 
-from .arith import INT63_MAX, decimal_str, factorize, round_nearest
+from .arith import INT63_MAX, Memo, decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
-from .cycles import (BAKTUN, CALENDAR_ROUND, DIRECTION_COLORS, ERA, HAAB_DAYS, HAAB_EPOCH, HAAB_MONTHS, KATUN,
-                     KAWIL_CYCLE, KAWIL_DAYS, KAWIL_EPOCH, TUN, TZOLKIN_EPOCH, TZOLKIN_NAMES, WINAL, cycle_date)
-from .lunar import (
-    MODERN_SYNODIC_MONTH,
-    TABLE_SOURCES,
-    LunarCandidate,
-    eclipse_commensuration,
-    moon_age,
-    ratio_table,
-    search,
-    verify_palenque,
-    verify_ratio_table,
-    verify_search,
-)
+from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, cycle_date
+from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
+                    ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
 from .notation import MAX_DIGITS, DateParseError, era_display, parse, resolution
-from .supernumber import (
-    LONG_ROUND,
-    XULTUN,
-    CulturalDate,
-    creation_residues,
-    cultural_dates,
-    derive_constants,
-    verify_aeon_division,
-    verify_aeon_identity,
-    verify_cultural_dates,
-    verify_grand_cycle_division,
-    verify_supernumber,
-    verify_xultun,
-)
+from .supernumber import (LONG_ROUND, XULTUN, CulturalDate, creation_residues, cultural_dates, derive_constants,
+                          verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
+                          verify_grand_cycle_division, verify_supernumber, verify_xultun)
 
 FORMAT_ENV_VAR = "MAYACAL_FORMAT"
 FORMATS = ("text", "json")
@@ -270,22 +248,14 @@ _CHECK_FIELDS = ("name", "expected", "computed", "pass")
 _MATCH_FIELDS = ("day", "long_count", "calendar_round", "kawil", "direction_color_name", "jdn", "gregorian")
 
 
-def _match_row(jdn_at_creation: int, day: int) -> tuple:
-    """The values of :data:`_MATCH_FIELDS` for a day: the closed form of :func:`~mayacal.cycles.cycle_date`,
-    written out from its constants (a call alone costs 5-8% of a rendered row), and the Gregorian date at its JDN."""
-    tzolkin = day + TZOLKIN_EPOCH - 1  # zero-based ordinals; 13 and 20 divide the 260 days
-    haab = (day + HAAB_EPOCH - 1) % HAAB_DAYS
-    kawil = day + KAWIL_EPOCH
+def _window_row(rounds: Memo, kawils: Memo, places: Memo, jdn_at_creation: int, day: int) -> tuple:
+    """The values of :data:`_MATCH_FIELDS` for a day.  A window's days step by the Calendar Round, so each field
+    that a cycle decides repeats: it is read from the window's table of it, by the day's residue, and made once
+    from :func:`cycle_date` of that residue.  The baktun and katun digits, JDN and Gregorian date are the day's."""
     jdn = day + jdn_at_creation
-    return (
-        day,
-        f"{day // BAKTUN}.{day // KATUN % 20}.{day // TUN % 20}.{day // WINAL % 18}.{day % WINAL}",
-        f"{tzolkin % 13 + 1} {TZOLKIN_NAMES[tzolkin % 20]} {haab % 20} {HAAB_MONTHS[haab // 20]}",
-        kawil % KAWIL_DAYS,
-        DIRECTION_COLORS[kawil // KAWIL_DAYS % 4],
-        jdn,
-        gregorian_display(jdn),
-    )
+    kawil, color = kawils[day % KAWIL_CYCLE]
+    return (day, f"{day // BAKTUN}.{day // KATUN % 20}.{places[day % KATUN]}", rounds[day % CALENDAR_ROUND],
+            kawil, color, jdn, gregorian_display(jdn))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -325,11 +295,15 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
         raise UsageError("calendar-round dates recur every 18980 days; give --window LO..HI")
     window = _parse_window(args.window)
     days = resolution(expr, window).days
+    # The window's own tables, filled as its rows are written; the last holds "tun.winal.kin".
+    row = partial(_window_row, Memo(lambda r: cycle_date(r).calendar_round),
+                  Memo(lambda r: ((cd := cycle_date(r)).kawil, cd.direction_color_name)),
+                  Memo(lambda r: "%d.%d.%d" % cycle_date(r).long_count[2:]), constant.jdn_at_creation)
     payload = {
         "input": args.date,
         "window": f"{window[0]}..{window[1]}",
         "count": (days[-1] - days[0]) // days.step + 1 if days else 0,  # len() stops at 2^63
-        "matches": Rows(_MATCH_FIELDS, partial(_match_row, constant.jdn_at_creation), days),
+        "matches": Rows(_MATCH_FIELDS, row, days),
     }
     return OutputEnvelope.result(args.command, payload)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .arith import checked_replace, new_record
+from .arith import Memo, checked_replace, new_record
 
 GMT_CORRELATION = 584283
 
@@ -57,7 +57,7 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
         if not 1 <= month <= 12:
             raise ValueError(f"month must be 1..12, got {month}")
         date = new_record(cls, (year, month, day, calendar))
-        if _civil_fields(civil_to_jdn(date), calendar) != (year, month, day):  # a day past its month is another date
+        if _civil_fields(civil_to_jdn(date), calendar)[:3] != date[:3]:  # a day past its month is another date
             raise ValueError(f"day {day} invalid for {year}-{month:02d} ({calendar})")
         return date
 
@@ -67,19 +67,18 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
         return str(self).split(" ", 2)[2]
 
     def __str__(self) -> str:
-        return _civil_text(self.year, self.month, self.day)
+        return _civil_text(civil_to_jdn(self), self.calendar)  # a valid date converts back to itself
 
 
-def _civil_text(year: int, month: int, day: int) -> str:
-    """The display of a civil date, with an era-style year: '11 August 3114 BC' for year -3113."""
-    if year <= 0:
-        return f"{day} {MONTH_NAMES[month - 1]} {1 - year} BC"
-    return f"{day} {MONTH_NAMES[month - 1]} {year}"
+def _civil_text(jdn: int, calendar: Calendar) -> str:
+    """The display of the civil date at a JDN, with an era-style year: '11 August 3114 BC' for year -3113."""
+    year, _, _, day_month = _civil_fields(jdn, calendar)
+    return f"{day_month}{year}" if year > 0 else f"{day_month}{1 - year} BC"
 
 
 def gregorian_display(jdn: int) -> str:
     """``str(jdn_to_civil(jdn, "gregorian"))`` without building the record."""
-    return _civil_text(*_civil_fields(jdn, "gregorian"))
+    return _civil_text(jdn, "gregorian")
 
 
 def to_jdn(day: int, constant: CorrelationConstant = GMT) -> int:
@@ -95,11 +94,11 @@ def jdn_to_civil(jdn: int, calendar: Calendar) -> CivilDate:
         raise ValueError(f"jdn must be non-negative, got {jdn}")
     if calendar not in ("julian", "gregorian"):
         raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
-    return new_record(CivilDate, _civil_fields(jdn, calendar) + (calendar,))  # in range by construction
+    return new_record(CivilDate, _civil_fields(jdn, calendar)[:3] + (calendar,))  # in range by construction
 
 
-def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int]:
-    """Year, month and day at a Julian Day Number (negative ones too), in a calendar :func:`jdn_to_civil` accepts."""
+def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int, str]:
+    """Year, month, day and "day Month " text at a JDN (negative ones too), in either calendar."""
     if calendar == "gregorian":
         a = jdn + 32044
         b = (4 * a + 3) // 146097
@@ -108,9 +107,19 @@ def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int]:
         b = 0
         c = jdn + 32082
     d = (4 * c + 3) // 1461
-    e = c - 1461 * d // 4
+    carry, month, day, day_month = _DAYS_OF_YEAR[c - 1461 * d // 4]
+    return 100 * b + d - 4800 + carry, month, day, day_month
+
+
+def _day_of_year(e: int) -> tuple[int, int, int, str]:
+    """The year carry (1 in January and February), month, day and "day Month " text of day ``e`` of a March year."""
     m = (5 * e + 2) // 153
-    return 100 * b + d - 4800 + m // 10, m + 3 - 12 * (m // 10), e - (153 * m + 2) // 5 + 1
+    month, day = m + 3 - 12 * (m // 10), e - (153 * m + 2) // 5 + 1
+    return m // 10, month, day, f"{day} {MONTH_NAMES[month - 1]} "
+
+
+#: :func:`_day_of_year` by ``e``: both calendars share it, as their months differ only in the leap day.
+_DAYS_OF_YEAR = Memo(_day_of_year)
 
 
 def civil_to_jdn(date: CivilDate) -> int:
@@ -135,5 +144,5 @@ class CorrelationReport(NamedTuple):
 def describe(day: int, constant: CorrelationConstant = GMT) -> CorrelationReport:
     """JDN plus Julian and proleptic-Gregorian dates of a day of the count."""
     jdn = to_jdn(day, constant)  # positive, as the day is checked and the constant positive
-    return new_record(CorrelationReport, (jdn, new_record(CivilDate, _civil_fields(jdn, "julian") + ("julian",)),
-                                          new_record(CivilDate, _civil_fields(jdn, "gregorian") + ("gregorian",))))
+    return new_record(CorrelationReport, (jdn, new_record(CivilDate, _civil_fields(jdn, "julian")[:3] + ("julian",)),
+                                          new_record(CivilDate, _civil_fields(jdn, "gregorian")[:3] + ("gregorian",))))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mayacal import arith
 from mayacal.arith import (
     INT63_MAX,
     Factorization,
@@ -147,6 +148,14 @@ class TestLargeInputs:
         f = factorize(n)
         assert f.as_dict() == expected
         assert f.value == n
+
+    def test_prime_square_without_rho(self, monkeypatch):
+        # A square of a prime beyond the trial bound is split by its integer square root.
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(arith, "_rho", no_rho)
+        assert factorize(3037000493**2).as_dict() == {3037000493: 2}
 
     def test_strong_pseudoprimes_are_composite(self):
         # psi_k: the least odd composite passing the strong test to the first

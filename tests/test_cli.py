@@ -2,6 +2,7 @@ import contextlib
 import importlib.metadata
 import io
 import json
+import math
 import os
 import re
 import runpy
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from mayacal import cli
 from mayacal.checks import Check, Rows
 from mayacal.cli import OutputEnvelope, main
-from mayacal.correlation import GMT_CORRELATION, CorrelationConstant, describe
-from mayacal.cycles import cycle_date
+from mayacal.correlation import _DAYS_OF_YEAR, GMT_CORRELATION, CorrelationConstant, describe
+from mayacal.cycles import KATUN, KAWIL_CYCLE, cycle_date
 from mayacal.lunar import search
 from mayacal.notation import MAX_DIGITS
 
@@ -42,7 +43,7 @@ def python(*args: str) -> subprocess.CompletedProcess:
 
 
 def match_summary(day: int, constant: CorrelationConstant) -> dict:
-    """A window match built from the records, the reference for ``cli._match_row``."""
+    """A window match built from the records, the reference for ``cli._window_row``."""
     cd = cycle_date(day)
     corr = describe(day, constant)
     return {
@@ -54,6 +55,20 @@ def match_summary(day: int, constant: CorrelationConstant) -> dict:
         "jdn": corr.jdn,
         "gregorian": str(corr.gregorian),
     }
+
+
+def assert_rows_match_the_records(day: int, lo: int, width: int, correlation: int) -> Rows:
+    """Check both renderings of the window ``lo..lo + width`` of a day's Calendar Round
+    against :func:`match_summary` of each match; return its rows."""
+    argv = ["convert", cycle_date(day).calendar_round, "--window", f"{lo}..{lo + width}"]
+    constant = CorrelationConstant(correlation)
+    envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), constant)
+    rows = envelope.payload["matches"]
+    reference = reference_rendering("convert", {
+        **envelope.payload, "matches": [match_summary(d, constant) for d in rows.keys]})
+    assert envelope.to_text() == reference["text"]
+    assert envelope.to_json() == reference["json"]
+    return rows
 
 
 def reference_rendering(command: str, payload: dict) -> dict[str, str]:
@@ -344,7 +359,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("patched,argv", [("gregorian_display", ["table", "cultural-dates"]),
-                                              ("_match_row", ["convert", CREATION_CR, "--window", "0..40000"])],
+                                              ("_window_row", ["convert", CREATION_CR, "--window", "0..40000"])],
                              ids=["table", "narrow-window"])
     def test_render_fault_gets_an_envelope(self, capsys, monkeypatch, fmt, patched, argv):
         # Rows are made while the envelope renders; a fault there, before anything
@@ -369,18 +384,18 @@ class TestExitCodes:
     def test_render_fault_after_output_truncates(self, capsys, monkeypatch, fmt):
         # Once a batch is written no envelope can follow: stdout stops, as a
         # killed call leaves it, and the fault is one line on stderr.
-        row, faulty = cli._match_row, CALENDAR_ROUND * 3000
+        row, faulty = cli._window_row, CALENDAR_ROUND * 3000
 
-        def breaks_late(jdn_at_creation, day):
-            if day == faulty:
+        def breaks_late(*args):  # the window's tables, its correlation and the day
+            if args[-1] == faulty:
                 raise TypeError("boom")
-            return row(jdn_at_creation, day)
+            return row(*args)
 
         argv = ["--format", fmt, "convert", CREATION_CR, "--window", f"0..{CALENDAR_ROUND * 4000}"]
-        monkeypatch.setattr(cli, "_match_row", breaks_late)
+        monkeypatch.setattr(cli, "_window_row", breaks_late)
         code = main(argv)
         out, err = capsys.readouterr()
-        monkeypatch.setattr(cli, "_match_row", row)
+        monkeypatch.setattr(cli, "_window_row", row)
         assert main(argv) == 0
         whole = capsys.readouterr().out
         assert code == cli.FAULT_EXIT
@@ -659,8 +674,8 @@ class TestRows:
 
     def test_window_matches_are_made_while_rendering(self, monkeypatch):
         made = []
-        row = cli._match_row
-        monkeypatch.setattr(cli, "_match_row", lambda c, d: made.append(d) or row(c, d))
+        row = cli._window_row
+        monkeypatch.setattr(cli, "_window_row", lambda *args: made.append(args[-1]) or row(*args))
         args = cli.build_parser().parse_args(["convert", "4 Ahau 8 Cumku", "--window", "0..40000"])
         envelope = cli.cmd_convert(args, GMT)
         assert envelope.payload["count"] == 3
@@ -689,14 +704,22 @@ class TestRows:
     @example(day=0, lo=0, width=10**6, correlation=GMT_CORRELATION)  # years BC
     @example(day=0, lo=10**15, width=10**6, correlation=10**9)  # years past 9999
     def test_rows_match_the_records(self, day, lo, width, correlation):
-        argv = ["convert", cycle_date(day).calendar_round, "--window", f"{lo}..{lo + width}"]
-        constant = CorrelationConstant(correlation)
-        envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), constant)
-        rows = envelope.payload["matches"]
-        reference = reference_rendering("convert", {
-            **envelope.payload, "matches": [match_summary(d, constant) for d in rows.keys]})
-        assert envelope.to_text() == reference["text"]
-        assert envelope.to_json() == reference["json"]
+        assert_rows_match_the_records(day, lo, width, correlation)
+
+    @settings(max_examples=15, deadline=None)
+    @given(day=st.integers(0, CALENDAR_ROUND - 1), lo=st.integers(0, 10**15),
+           width=st.integers(361 * CALENDAR_ROUND, 10**8), correlation=st.integers(1, 10**9))
+    @example(day=0, lo=0, width=10**8, correlation=1)  # years BC
+    @example(day=CALENDAR_ROUND - 1, lo=10**15, width=10**8, correlation=10**9)  # years past 9999
+    def test_rows_reread_every_table(self, day, lo, width, correlation):
+        # Over 360 matches, each of a window's tables is full and read again: its keys are the residues
+        # of the window's days, as many as the period over its gcd with the Calendar Round (1, 63, 360).
+        rows = assert_rows_match_the_records(day, lo, width, correlation)
+        *tables, _ = rows.row.args
+        for table, period in zip(tables, (CALENDAR_ROUND, KAWIL_CYCLE, KATUN)):
+            assert sorted(table) == sorted({d % period for d in rows.keys})
+            assert len(table) == period // math.gcd(period, CALENDAR_ROUND)
+        assert set(_DAYS_OF_YEAR) <= set(range(366))
 
     @settings(max_examples=200, deadline=None)
     @given(value=JSONABLE)
@@ -715,7 +738,7 @@ class TestStreaming:
         rows = 200_000
         # The cheapest row, so that the test measures rendering rather than the
         # calendar: tracemalloc makes every allocation several times slower.
-        monkeypatch.setattr(cli, "_match_row", lambda c, d: (d,) * len(cli._MATCH_FIELDS))
+        monkeypatch.setattr(cli, "_window_row", lambda *args: args[-1:] * len(cli._MATCH_FIELDS))
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
