@@ -4,7 +4,9 @@
 Usage: PYTHONPATH=src python3 scripts/time_notation.py
 
 Each line is the best of 100 short ``timeit`` repeats, in microseconds per call,
-for the Long Round day 1366560 (9.9.16.0.0 4 Ahau 8 Cumku).  The host's
+for the Long Round day 1366560 (9.9.16.0.0 4 Ahau 8 Cumku); "parse, non-canonical
+digits" reads it as 09.09.16.00.00 04 Ahau 08 Cumku, whose digits miss the parser's
+table of "0".."19" and go through ``str.isdecimal`` and ``int``.  The host's
 noise only adds time, so the best repeat is the steadiest figure; compare
 two checkouts by running the script on each, in turn, a few times, from
 copies without ``src/mayacal/__pycache__`` (``git archive`` makes them): a
@@ -36,6 +38,7 @@ from mayacal.notation import expression_from_day, format_date, parse, resolution
 
 DAY = 1366560
 ERA_DAY = 365 * ERA
+NON_CANONICAL = "09.09.16.00.00 04 Ahau 08 Cumku"
 #: Windows of 4 Ahau 8 Cumku by their matches: the days 0, 18980, ..., 18980000, and 0..10^9.
 WINDOWS = {1001: 18980 * 1000, 52688: 10**9}
 
@@ -66,6 +69,7 @@ def main():
         "cycle_date": lambda: cycle_date(DAY),
         "describe": lambda: describe(DAY),
         "parse": lambda: parse(text),
+        "parse, non-canonical digits": lambda: parse(NON_CANONICAL),
         "format_date plain": lambda: format_date(expr, "plain"),
         "format_date annotated": lambda: format_date(expr, "annotated"),
         "resolution": lambda: resolution(expr, (DAY, DAY)),

@@ -28,7 +28,7 @@ from typing import Any, NamedTuple
 from .arith import INT63_MAX, Memo, decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
-from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, cycle_date
+from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, calendar_parts, cycle_date
 from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
                     ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
 from .notation import MAX_DIGITS, DateParseError, era_display, parse, resolution
@@ -250,8 +250,8 @@ _MATCH_FIELDS = ("day", "long_count", "calendar_round", "kawil", "direction_colo
 
 def _window_row(rounds: Memo, kawils: Memo, places: Memo, jdn_at_creation: int, day: int) -> tuple:
     """The values of :data:`_MATCH_FIELDS` for a day.  A window's days step by the Calendar Round, so each field
-    that a cycle decides repeats: it is read from the window's table of it, by the day's residue, and made once
-    from :func:`cycle_date` of that residue.  The baktun and katun digits, JDN and Gregorian date are the day's."""
+    that a cycle decides repeats: it is read from the window's table of it, by the day's residue, made once from
+    :func:`calendar_parts` (the Kawil's from :func:`cycle_date`).  Baktun, katun, JDN and Gregorian are the day's."""
     jdn = day + jdn_at_creation
     kawil, color = kawils[day % KAWIL_CYCLE]
     return (day, f"{day // BAKTUN}.{day // KATUN % 20}.{places[day % KATUN]}", rounds[day % CALENDAR_ROUND],
@@ -296,9 +296,9 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     window = _parse_window(args.window)
     days = resolution(expr, window).days
     # The window's own tables, filled as its rows are written; the last holds "tun.winal.kin".
-    row = partial(_window_row, Memo(lambda r: cycle_date(r).calendar_round),
+    row = partial(_window_row, Memo(lambda r: "%s %s" % calendar_parts(r)[1:]),
                   Memo(lambda r: ((cd := cycle_date(r)).kawil, cd.direction_color_name)),
-                  Memo(lambda r: "%d.%d.%d" % cycle_date(r).long_count[2:]), constant.jdn_at_creation)
+                  Memo(lambda r: "%d.%d.%d" % calendar_parts(r)[0][2:]), constant.jdn_at_creation)
     payload = {
         "input": args.date,
         "window": f"{window[0]}..{window[1]}",

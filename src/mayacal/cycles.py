@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .arith import checked_replace, crt, new_record
+from .arith import Memo, checked_replace, crt, new_record
 
 TZOLKIN_NAMES = (
     "Imix", "Ik", "Akbal", "Kan", "Chicchan", "Cimi", "Manik", "Lamat",
@@ -146,13 +146,8 @@ class LongCount(NamedTuple("LongCount", [(name, int) for name, _ in LONG_COUNT_D
 
     @property
     def days(self) -> int:
-        return (
-            self.baktun * BAKTUN
-            + self.katun * KATUN
-            + self.tun * TUN
-            + self.winal * WINAL
-            + self.kin
-        )
+        baktun, katun, tun, winal, kin = self
+        return baktun * BAKTUN + katun * KATUN + tun * TUN + winal * WINAL + kin
 
     def __str__(self) -> str:
         return f"{self.baktun}.{self.katun}.{self.tun}.{self.winal}.{self.kin}"
@@ -207,15 +202,18 @@ def long_count_from_day(day: int) -> LongCount:
     return LongCount(baktun, katun, tun, winal, kin)
 
 
+#: :func:`calendar_parts`'s Tzolk'in and Haab' records by zero-based ordinal: at most 260 and 365, each made once.
+_TZOLKINS = Memo(lambda ordinal: new_record(TzolkinDate, (ordinal % 13 + 1, ordinal % 20)))
+_HAABS = Memo(lambda ordinal: new_record(HaabDate, (ordinal % 20, ordinal // 20)))
+
+
 def calendar_parts(day: int) -> tuple[LongCount, TzolkinDate, HaabDate]:
     """A day's Long Count, Tzolk'in and Haab' (pre-creation days rejected), in closed form: each value
     is a digit or residue of the day, in range, so each record is built by :data:`~.arith.new_record`."""
     if day < 0:
         raise ValueError(f"day must be non-negative, got {day}")
-    tzolkin = day + TZOLKIN_EPOCH - 1  # zero-based ordinals; 13 and 20 divide the 260 days
-    haab = (day + HAAB_EPOCH - 1) % HAAB_DAYS
     return (new_record(LongCount, (day // BAKTUN, day // KATUN % 20, day // TUN % 20, day // WINAL % 18, day % WINAL)),
-            new_record(TzolkinDate, (tzolkin % 13 + 1, tzolkin % 20)), new_record(HaabDate, (haab % 20, haab // 20)))
+            _TZOLKINS[(day + TZOLKIN_EPOCH - 1) % TZOLKIN_DAYS], _HAABS[(day + HAAB_EPOCH - 1) % HAAB_DAYS])
 
 
 def cycle_date(day: int) -> CycleDate:

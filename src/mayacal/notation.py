@@ -35,6 +35,7 @@ from .cycles import (
     LONG_COUNT_DIGITS,
     TZOLKIN_EPOCH,
     TZOLKIN_NAMES,
+    WINAL,
     HaabDate,
     LongCount,
     TzolkinDate,
@@ -43,6 +44,10 @@ from .cycles import (
 
 _TZOLKIN_BY_NAME = {name.lower(): i for i, name in enumerate(TZOLKIN_NAMES)}
 _HAAB_BY_NAME = {name.lower(): i for i, name in enumerate(HAAB_MONTHS)}
+
+#: The canonical spellings "0".."19" of the digits below the winal's radix: the four lower Long Count digits, a
+#: Tzolk'in number and a Haab' day are read here first.  Leading zeros or other decimal scripts go to :func:`int`.
+_DIGITS = {str(n): n for n in range(WINAL)}
 
 _LEADING_DIGIT = re.compile(r"(?:(\d+)×)?(\d+)(\(\d+\))?$")
 
@@ -104,6 +109,8 @@ MAX_DIGITS = min(4000, (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4
 
 
 def _read_int(token: str, what: str, index: int, shift: int = 0) -> int:
+    if not token.isdecimal():
+        raise _TokenError(f"bad {what} {token!r}", index, shift)
     if len(token) > MAX_DIGITS:
         raise _TokenError(f"{what} is too long: {len(token)} digits", index, shift)
     return int(token)
@@ -134,24 +141,16 @@ def _parse_long_count(word: str) -> LongCount:
     parts = word.split(".")
     if len(parts) != 5:
         raise _TokenError(f"long count needs 5 dot-separated digits, got {len(parts)}", 0, 0)
-    try:
-        baktun, katun, tun, winal, kin = map(int, parts)
-    except ValueError:  # era sugar, an empty part, a letter or too many digits
-        pass
-    else:
-        # int() also reads a sign or an underscore, which are not digits here.  No part is
-        # longer than MAX_DIGITS in a word of MAX_DIGITS + 8 (the four dots and four digits).
-        if ("".join(parts).isdecimal() and len(word) <= MAX_DIGITS + 8
-                and katun <= 19 and tun <= 19 and winal <= 17 and kin <= 19):
-            return new_record(LongCount, (baktun, katun, tun, winal, kin))
+    lead, katun, tun, winal, kin = parts
+    if (katun in _DIGITS and tun in _DIGITS and winal in _DIGITS and kin in _DIGITS and _DIGITS[winal] <= 17
+            and lead.isdecimal() and len(lead) <= MAX_DIGITS):
+        return new_record(LongCount, (int(lead), _DIGITS[katun], _DIGITS[tun], _DIGITS[winal], _DIGITS[kin]))
     # Digit by digit: era sugar, or the error to report.  A bad digit further
     # on is reported before an out-of-range one.
-    digits = [_parse_baktun(parts[0])]
-    at = len(parts[0]) + 1
+    digits = [_parse_baktun(lead)]
+    at = len(lead) + 1
     out_of_range = None
     for (name, limit), part in zip(LONG_COUNT_DIGITS[1:], parts[1:]):
-        if not part.isdecimal():
-            raise _TokenError(f"bad long count digit {part!r}", 0, at)
         value = _read_int(part, "long count digit", 0, at)
         if value > limit and out_of_range is None:
             out_of_range = _TokenError(f"{name} {value} out of range 0..{limit}", 0, at)
@@ -180,17 +179,13 @@ def parse(text: str) -> DateExpression:
             if count > 4:
                 raise _TokenError(f"unexpected trailing text {words[first + 4]!r}", first + 4, 0)
             num_tok, tz_tok, day_tok, month_tok = words[first:]
-            if not num_tok.isdecimal():
-                raise _TokenError(f"bad Tzolk'in number {num_tok!r}", first, 0)
-            number = _read_int(num_tok, "Tzolk'in number", first)
+            number = _DIGITS[num_tok] if num_tok in _DIGITS else _read_int(num_tok, "Tzolk'in number", first)
             if not 1 <= number <= 13:
                 raise _TokenError(f"Tzolk'in number {number} out of range 1..13", first, 0)
             tz_index = _TZOLKIN_BY_NAME.get(tz_tok.lower())
             if tz_index is None:
                 raise _TokenError(f"unknown Tzolk'in day name {tz_tok!r}", first + 1, 0)
-            if not day_tok.isdecimal():
-                raise _TokenError(f"bad Haab' day {day_tok!r}", first + 2, 0)
-            day = _read_int(day_tok, "Haab' day", first + 2)
+            day = _DIGITS[day_tok] if day_tok in _DIGITS else _read_int(day_tok, "Haab' day", first + 2)
             month_index = _HAAB_BY_NAME.get(month_tok.lower())
             if month_index is None:
                 raise _TokenError(f"unknown Haab' month name {month_tok!r}", first + 3, 0)

@@ -2,7 +2,9 @@
 
 ``cycle_date``, ``expression_from_day`` and ``describe`` build their records
 with ``new_record`` (``tuple.__new__``), unchecked, so the validating builders
-are their oracle, compared value by value and type by type.  The window rows
+are their oracle, compared value by value and type by type.  The Tzolk'in and
+Haab' records come from two tables by their zero-based ordinals, which never
+hold more than a cycle's length of entries.  The window rows
 write the closed form out with the constants of ``cycles``; no other module
 spells an epoch or a place value as a literal, which would keep its old value
 if the model's changed.
@@ -16,10 +18,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mayacal
+from mayacal import cycles
 from mayacal.correlation import CivilDate, CorrelationConstant, _civil_fields, describe
 from mayacal.cycles import (
     CALENDAR_ROUND,
     ERA,
+    HAAB_DAYS,
+    TZOLKIN_DAYS,
     CycleDate,
     cycle_date,
     haab_from_pos,
@@ -63,6 +68,20 @@ def test_cycle_date_is_the_validated_records(day):
     assert_same_records(cycle_date(day), expected)
     expr = expression_from_day(day)
     assert_same_records(expr, (expected.long_count, expected.tzolkin, expected.haab, None))
+
+
+@given(st.lists(st.integers(0, 10**15), max_size=20))
+@example(list(range(CALENDAR_ROUND)))  # every ordinal of both cycles
+def test_record_tables_hold_one_record_per_ordinal(days):
+    for day in days:
+        cycle_date(day)
+        expression_from_day(day)
+    for table, length, from_pos in ((cycles._TZOLKINS, TZOLKIN_DAYS, tzolkin_from_pos),
+                                    (cycles._HAABS, HAAB_DAYS, haab_from_pos)):
+        assert len(table) <= length
+        for ordinal, record in table.items():
+            assert type(ordinal) is int and 0 <= ordinal < length
+            assert_same_records((record,), (from_pos((ordinal + 1) % length),))
 
 
 @given(st.integers(0, 10**15), st.integers(1, 10**9))

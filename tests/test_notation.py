@@ -331,6 +331,33 @@ def test_annotated_round_trip_resolves(day):
     assert tuple(resolution(parse(text), (day, day)).days) == (day,)
 
 
+#: The decimal digits in ASCII, Arabic-Indic and full-width forms: str.isdecimal and int read each.
+DIGIT_SCRIPTS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９")
+
+
+@st.composite
+def spelled(draw, n):
+    """``n`` with up to two leading zeros, each digit drawn from any of :data:`DIGIT_SCRIPTS`."""
+    text = "0" * draw(st.integers(0, 2)) + str(n)
+    return "".join(draw(st.sampled_from(DIGIT_SCRIPTS))[int(c)] for c in text)
+
+
+@given(st.integers(min_value=0, max_value=10**15), st.data())
+def test_non_canonical_digits_parse_as_canonical(day, data):
+    # Digits outside the canonical "0".."19" leave the table lookups for the isdecimal/int path.
+    expr = expression_from_day(day)
+    long_count, (number, name_index), (haab_day, month_index), _ = expr
+    text = " ".join([".".join(data.draw(spelled(d)) for d in long_count), data.draw(spelled(number)),
+                     TZOLKIN_NAMES[name_index], data.draw(spelled(haab_day)), HAAB_MONTHS[month_index]])
+    assert_same_records(parse(text), expr)
+
+
+@pytest.mark.parametrize("text", ["09.09.16.00.00 04 Ahau 08 Cumku", "٩.٩.١٦.٠.٠ ٤ Ahau ٨ Cumku",
+                                  "９.９.１６.０.０ ４ Ahau ８ Cumku", "٠٩.９.1٦.00.０ ٤ Ahau ０8 Cumku"])
+def test_non_canonical_spellings_of_the_long_round(text):
+    assert_same_records(parse(text), parse("9.9.16.0.0 4 Ahau 8 Cumku"))
+
+
 def brute_resolution(expr, lo, hi):
     # Oracle: every day of the window whose cycle_date carries each present component.
     days = []
