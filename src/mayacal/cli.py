@@ -17,7 +17,6 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -32,7 +31,7 @@ from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, calendar_pa
 from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
                     ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
 from .notation import MAX_DIGITS, DateParseError, era_display, parse, resolution
-from .supernumber import (LONG_ROUND, XULTUN, CulturalDate, creation_residues, cultural_dates, derive_constants,
+from .supernumber import (CulturalDate, creation_residues, cultural_dates, derive_constants, named_days,
                           verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
                           verify_grand_cycle_division, verify_supernumber, verify_xultun)
 
@@ -62,22 +61,6 @@ SUITES = {
     "lunar": lambda c: [verify_ratio_table(c.n), verify_palenque(c.n), verify_search(search(c.n))],
     "eclipse": lambda c: [eclipse_commensuration()],
 }
-
-#: Days the model names; convert identifies them in its output.
-NAMED_DAYS = {
-    0: "mythical date of creation",
-    XULTUN[0]: "first Xultun number (X0)",
-    XULTUN[1]: "second Xultun number (X1)",
-    LONG_ROUND: "Long Round (Dresden Codex Venus table)",
-    5 * XULTUN[0]: "date of the Itza prophecy (5*X0)",
-    XULTUN[2]: "third Xultun number (X2)",
-    ERA: "end of the 13 Baktun Era",
-    XULTUN[3]: "fourth Xultun number (X3)",
-    math.lcm(ERA, CALENDAR_ROUND): "Maya Aeon",
-    5 * math.lcm(ERA, CALENDAR_ROUND): "end of the 5 Maya Aeon",
-    math.lcm(ERA, CALENDAR_ROUND, KAWIL_CYCLE): "end of the Maya grand cycle",
-}
-
 
 class UsageError(Exception):
     """Bad command input; exits 2.  ``command`` names the command line's (sub)command, if known."""
@@ -222,6 +205,7 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
 def _describe_day(day: int, constant: CorrelationConstant) -> dict:
     cd = cycle_date(day)
     corr = describe(day, constant)
+    named = named_days(derive_constants()).get(day)
     return {
         "day": day,
         "long_count": str(cd.long_count),
@@ -233,7 +217,7 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
         "direction_color": cd.direction_color,
         "direction_color_name": cd.direction_color_name,
         **({"long_count_annotated": era_display(day)} if day % ERA == 0 else {}),
-        **({"identity": NAMED_DAYS[day]} if day in NAMED_DAYS else {}),
+        **({"identity": named[1]} if named else {}),
         "correlation": constant.jdn_at_creation,
         "jdn": corr.jdn,
         "julian": str(corr.julian),

@@ -67,6 +67,10 @@ class TzolkinDate(NamedTuple("TzolkinDate", [("number", int), ("name_index", int
     _replace = checked_replace
 
     def __new__(cls, number: int, name_index: int) -> TzolkinDate:
+        if type(number) is not int:
+            raise TypeError(f"Tzolk'in number must be an int, got {number!r}")
+        if type(name_index) is not int:
+            raise TypeError(f"Tzolk'in name index must be an int, got {name_index!r}")
         if not 1 <= number <= 13:
             raise ValueError(f"Tzolk'in number must be 1..13, got {number}")
         if not 0 <= name_index <= 19:
@@ -98,6 +102,10 @@ class HaabDate(NamedTuple("HaabDate", [("day", int), ("month_index", int)])):
     _replace = checked_replace
 
     def __new__(cls, day: int, month_index: int) -> HaabDate:
+        if type(day) is not int:
+            raise TypeError(f"Haab' day must be an int, got {day!r}")
+        if type(month_index) is not int:
+            raise TypeError(f"Haab' month index must be an int, got {month_index!r}")
         if not 0 <= month_index <= 18:
             raise ValueError(f"Haab' month index must be 0..18, got {month_index}")
         limit = 4 if month_index == 18 else 19
@@ -138,6 +146,8 @@ class LongCount(NamedTuple("LongCount", [(name, int) for name, _ in LONG_COUNT_D
     def __new__(cls, baktun: int, katun: int, tun: int, winal: int, kin: int) -> LongCount:
         digits = (baktun, katun, tun, winal, kin)
         for (field_name, limit), value in zip(LONG_COUNT_DIGITS, digits):
+            if type(value) is not int:
+                raise TypeError(f"{field_name} must be an int, got {value!r}")
             if value < 0:
                 raise ValueError(f"{field_name} must be non-negative, got {value}")
             if limit is not None and value > limit:

@@ -26,8 +26,9 @@ from .cycles import (
     CALENDAR_ROUND,
     ERA,
     HAAB_DAYS,
-    HAAB_EPOCH,
     KAWIL_CYCLE,
+    TUN,
+    TZOLKIN_DAYS,
     CycleDate,
     cycle_date,
     haab_from_pos,
@@ -197,8 +198,7 @@ def creation_residues(c: DerivedConstants) -> Report:
     Counting from that day, the first completion of a 13-Tun cycle (4680
     days) that lands back on a 4 Ahau day is 4 Ahau 8 Cumku, the pair
     {160; 349} taken as day 0 of the Long Count.  The shift is solved by
-    :func:`crt`, not assumed; it recurs every 341640 = X0 days, i.e.
-    LCM(4680, 365).
+    :func:`crt` and the Haab' it lands on computed, neither assumed.
     """
     divisor = 13 * 37 * 73
     if c.n % divisor != 0:
@@ -221,10 +221,10 @@ def creation_residues(c: DerivedConstants) -> Report:
     report.check("anchor Tzolk'in", "4 Ahau", str(anchor_t))
     report.check("anchor Haab'", "8 Zip", str(anchor_h))
 
-    # A whole number of 13-Tun cycles (so Tzolk'in 160 again, as 260 | 4680)
-    # that moves Haab' 49 to 349 (8 Cumku).
-    shift, _ = crt(((0, 4680), (HAAB_EPOCH - 49, HAAB_DAYS)))
-    shifted_h = haab_from_pos((shift + 49) % 365)
+    # The least shift that is whole 13-Tun cycles and whole Tzolk'ins, so
+    # Tzolk'in 160 again; the Haab' moves from the anchor's 49 by it.
+    _, shift = crt(((0, 13 * TUN), (0, TZOLKIN_DAYS)))
+    shifted_h = haab_from_pos((q % 73 + shift) % HAAB_DAYS)
     report.check("13-Tun shift to 8 Cumku", 4680, shift)
     report.check("shifted Haab'", "8 Cumku", str(shifted_h))
     report.check("creation Kawil count", 3, kawil_residue)
@@ -252,21 +252,32 @@ class CulturalDate(NamedTuple):
         )
 
 
+def named_days(c: DerivedConstants) -> dict[int, tuple[str, str]]:
+    """The days the model names, in day order: ``{day: (label, meaning)}``."""
+    x0, x1, x2, x3 = XULTUN
+    return {
+        0: ("I0", "mythical date of creation"),
+        x0: ("X0", "first Xultun number (X0)"),
+        x1: ("X1", "second Xultun number (X1)"),
+        LONG_ROUND: ("LR", "Long Round (Dresden Codex Venus table)"),
+        5 * x0: ("5X0", "date of the Itza prophecy"),
+        x2: ("X2", "third Xultun number (X2)"),
+        ERA: ("E", "end of the 13 Baktun Era"),
+        x3: ("X3", "fourth Xultun number (X3)"),
+        c.aeon: ("A", "Maya Aeon"),
+        5 * c.aeon: ("5A", "end of the 5 Maya Aeon"),
+        c.grand_cycle: ("GC", "end of the Maya grand cycle"),
+    }
+
+
 def cultural_dates(c: DerivedConstants) -> list[CulturalDate]:
-    """The five anchor dates: creation, 5*X0, Era end, 5 Aeon, grand cycle."""
-    x0 = XULTUN[0]
-    rows = [
-        ("I0", "mythical date of creation", 0),
-        ("5X0", "date of the Itza prophecy", 5 * x0),
-        ("E", "end of the 13 Baktun Era", ERA),
-        ("5A", "end of the 5 Maya Aeon", 5 * c.aeon),
-        ("GC", "end of the Maya grand cycle", c.grand_cycle),
-    ]
+    """The five anchor dates of :func:`named_days`: creation, 5*X0, Era end, 5 Aeon, grand cycle."""
     table = []
-    for label, meaning, day in rows:
-        cd = cycle_date(day)
-        display = era_display(day) if day % ERA == 0 else str(cd.long_count)
-        table.append(CulturalDate(label=label, meaning=meaning, day=day, lcc_display=display, cycle=cd))
+    for day, (label, meaning) in named_days(c).items():
+        if label in ("I0", "5X0", "E", "5A", "GC"):
+            cd = cycle_date(day)
+            display = era_display(day) if day % ERA == 0 else str(cd.long_count)
+            table.append(CulturalDate(label=label, meaning=meaning, day=day, lcc_display=display, cycle=cd))
     return table
 
 

@@ -24,6 +24,7 @@ from mayacal.correlation import _DAYS_OF_YEAR, GMT_CORRELATION, CorrelationConst
 from mayacal.cycles import KATUN, KAWIL_CYCLE, cycle_date
 from mayacal.lunar import search
 from mayacal.notation import MAX_DIGITS
+from mayacal.supernumber import named_days
 
 GOLDEN = Path(__file__).parent / "golden"
 GMT = CorrelationConstant(GMT_CORRELATION)
@@ -580,10 +581,18 @@ class TestCommandLines:
 
 
 class TestConvert:
-    def test_named_days_come_from_the_model(self, constants):
-        assert sorted(cli.NAMED_DAYS) == [0, 341640, 1195740, 1366560, 1708200, 1765140, 1872000, 2448420,
-                                          136656000, 683280000, 956592000]
-        assert {constants.aeon, 5 * constants.aeon, constants.grand_cycle} <= cli.NAMED_DAYS.keys()
+    def test_named_days_come_from_the_model(self, run, constants):
+        days = named_days(constants)
+        assert list(days) == [0, 341640, 1195740, 1366560, 1708200, 1765140, 1872000, 2448420,
+                              136656000, 683280000, 956592000]  # in day order
+        assert {constants.aeon, 5 * constants.aeon, constants.grand_cycle} <= days.keys()
+        code, out = run("--format", "json", "table", "cultural-dates")
+        rows = json.loads(out)["payload"]["rows"]
+        assert code == 0 and len(rows) == 5
+        assert all((row["label"], row["meaning"]) == days[row["day"]] for row in rows)
+        for day, (_, meaning) in days.items():
+            code, out = run("convert", "--day", str(day))
+            assert code == 0 and f"\nidentity: {meaning}\n" in out
 
     def test_long_round_identified(self, run):
         code, out = run("convert", "9.9.16.0.0")

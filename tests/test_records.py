@@ -135,6 +135,16 @@ def test_validation_runs_however_a_record_is_built():
         CivilDate(2000, 1, 1, "mayan")
     with pytest.raises(ValueError, match="direction-color must be 0..3, got 4"):
         DateExpression(kawil=(0, 4))
+    with pytest.raises(TypeError, match="Tzolk'in number must be an int, got 1.0"):
+        TzolkinDate(1.0, 0)
+    with pytest.raises(TypeError, match="Tzolk'in number must be an int, got True"):
+        TzolkinDate(True, 0)
+    with pytest.raises(TypeError, match="Haab' month index must be an int, got 1.0"):
+        HaabDate(0, 1.0)
+    with pytest.raises(TypeError, match="baktun must be an int, got 9.5"):
+        LongCount(9.5, 0, 0, 0, 0)
+    with pytest.raises(TypeError, match=r"kin must be an int, got Fraction\(0, 1\)"):
+        LongCount(9, 9, 16, 0, Fraction(0))
 
 
 # A field change each validating record refuses, with its constructor's message.

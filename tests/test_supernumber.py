@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from mayacal import supernumber
 from mayacal.arith import lcm_factorization
-from mayacal.cycles import CALENDAR_ROUND, ERA, KAWIL_CYCLE
+from mayacal.cycles import CALENDAR_ROUND, ERA, HAAB_EPOCH, KAWIL_CYCLE, KAWIL_EPOCH, TZOLKIN_EPOCH, haab_from_pos
 from mayacal.supernumber import (
     CANONICAL_PERIODS,
     LONG_ROUND,
@@ -147,6 +148,17 @@ class TestCreationResidues:
         assert computed["anchor Haab'"] == "8 Zip"
         assert computed["shifted Haab'"] == "8 Cumku"
         assert computed["13-Tun shift to 8 Cumku"] == 4680
+
+    def test_shift_is_derived_not_assumed(self, constants, monkeypatch):
+        # The Haab' epoch is what the shift lands on, so changing it cannot move the report.
+        monkeypatch.setattr(supernumber, "HAAB_EPOCH", 354, raising=False)
+        assert creation_residues(constants).ok
+
+    def test_cycles_epochs_are_the_derived_creation_position(self, constants):
+        computed = self.computed(constants)
+        assert TZOLKIN_EPOCH == computed["mod 260"]
+        assert str(haab_from_pos(HAAB_EPOCH)) == computed["shifted Haab'"]
+        assert KAWIL_EPOCH == computed["creation Kawil count"]
 
     def test_shift_scan_from_zip_anchor(self):
         # Oracle: walk 13-Tun completions from the {160; 49} anchor until the
