@@ -15,6 +15,6 @@ from .correlation import describe
 from .cycles import cycle_date
 from .lunar import epsilon, search
 from .notation import expression_from_day, format_date, parse, resolution
-from .supernumber import derive_constants
+from .supernumber import PAPER, derive
 
 __version__ = "0.1.0"

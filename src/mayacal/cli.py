@@ -31,7 +31,7 @@ from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, calendar_pa
 from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
                     ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
 from .notation import MAX_DIGITS, DateParseError, era_display, parse, resolution
-from .supernumber import (CulturalDate, creation_residues, cultural_dates, derive_constants, named_days,
+from .supernumber import (PAPER, CulturalDate, creation_residues, cultural_dates, derive, named_days,
                           verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
                           verify_grand_cycle_division, verify_supernumber, verify_xultun)
 
@@ -49,8 +49,8 @@ FAULT_EXIT = 3
 #: unbuffered (``PYTHONUNBUFFERED``), and a bounded batch keeps memory flat.
 WRITE_BATCH = 1 << 16
 
-#: The verify suites in paper order, each a function of the derived
-#: constants; ``verify all`` runs every one.
+#: The verify suites in paper order, each a function of one model's
+#: derived record; ``verify all`` runs every one.
 SUITES = {
     "eq1": lambda c: [verify_supernumber(c), verify_xultun(c)],
     "eq2": lambda c: [verify_grand_cycle_division(c)],
@@ -58,8 +58,8 @@ SUITES = {
     "eq4": lambda c: [verify_aeon_identity(c)],
     "residues": lambda c: [creation_residues(c)],
     "dates": lambda c: [verify_cultural_dates(c)],
-    "lunar": lambda c: [verify_ratio_table(c.n), verify_palenque(c.n), verify_search(search(c.n))],
-    "eclipse": lambda c: [eclipse_commensuration()],
+    "lunar": lambda c: [verify_ratio_table(c.n), verify_palenque(c), verify_search(search(c.n))],
+    "eclipse": lambda c: [eclipse_commensuration(c)],
 }
 
 class UsageError(Exception):
@@ -205,7 +205,7 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
 def _describe_day(day: int, constant: CorrelationConstant) -> dict:
     cd = cycle_date(day)
     corr = describe(day, constant)
-    named = named_days(derive_constants()).get(day)
+    named = named_days(derive(PAPER)).get(day)
     return {
         "day": day,
         "long_count": str(cd.long_count),
@@ -293,7 +293,7 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 
 def cmd_verify(args, constant: CorrelationConstant) -> OutputEnvelope:
-    constants = derive_constants()
+    constants = derive(PAPER)
     scopes = SUITES if args.scope == "all" else (args.scope,)
     reports = [report for scope in scopes for report in SUITES[scope](constants)]
     checks = [c for report in reports for c in report.checks]
@@ -318,7 +318,7 @@ def _candidate_row(c: LunarCandidate) -> tuple:
 
 
 def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
-    n = derive_constants().n
+    n = derive(PAPER).n
     rows = ratio_table(n)
     modern = rows[-1]
     payload = {
@@ -337,7 +337,7 @@ def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
 def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
     if args.max < 1:
         raise UsageError(f"--max must be >= 1, got {args.max}")
-    n = derive_constants().n
+    n = derive(PAPER).n
     result = search(n, max_lunations=args.max)
     payload = {
         "supernumber": n,
@@ -424,7 +424,7 @@ def _cultural_row(jdn_at_creation: int, row: CulturalDate) -> tuple:
 
 
 def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
-    constants = derive_constants()
+    constants = derive(PAPER)
     rows = Rows(_CULTURAL_FIELDS, partial(_cultural_row, constant.jdn_at_creation), cultural_dates(constants))
     payload = {"table": args.name, "rows": rows}
     return OutputEnvelope.result(args.command, payload, verify_cultural_dates(constants).checks)

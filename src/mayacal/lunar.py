@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import decimal_str, round_nearest
 from .checks import Report
 from .cycles import CALENDAR_ROUND
+
+if TYPE_CHECKING:
+    from .supernumber import Derived
 
 #: Modern Moon synodic period, 29.530588 days, as an exact rational.
 MODERN_SYNODIC_MONTH = Fraction(29530588, 1000000)
@@ -40,9 +43,7 @@ TABLE_SOURCES = {
 }
 TABLE_LENGTHS = tuple(TABLE_SOURCES)
 
-PALENQUE_DAYS = 2392
-PALENQUE_LUNATIONS = 81
-PALENQUE_RATIO = Fraction(PALENQUE_DAYS, PALENQUE_LUNATIONS)
+PALENQUE_RATIO = Fraction(2392, 81)
 PALENQUE_MULTIPLIER = 26008014145502  # lunations in N: 81*N + 104 = multiplier * 2392
 
 
@@ -180,26 +181,16 @@ def verify_ratio_table(n: int) -> Report:
     return report
 
 
-def verify_palenque(n: int) -> Report:
+def verify_palenque(c: Derived) -> Report:
     """The exact Palenque statement and its equivalent table lengths."""
     report = Report("Palenque formula")
-    report.check(
-        "81*N + 104 = 26008014145502 * 2392",
-        PALENQUE_MULTIPLIER * PALENQUE_DAYS,
-        PALENQUE_LUNATIONS * n + 104,
-    )
-    report.check(
-        "multiplier = Rd(81*N / 2392)",
-        PALENQUE_MULTIPLIER,
-        round_nearest(Fraction(PALENQUE_LUNATIONS * n, PALENQUE_DAYS)),
-    )
-    report.check("epsilon(2392, 81)", Fraction(104, 81), epsilon(n, PALENQUE_DAYS, PALENQUE_LUNATIONS))
-    report.check(
-        "2392/81 = 4784/162 = 11960/405",
-        [PALENQUE_RATIO] * 2,
-        [Fraction(4784, 162), Fraction(11960, 405)],
-    )
-    report.check("ratio at 6 decimals", "29.530864", decimal_str(PALENQUE_RATIO, 6))
+    days, lunations = c.model.palenque
+    ratio = Fraction(days, lunations)
+    report.check("81*N + 104 = 26008014145502 * 2392", PALENQUE_MULTIPLIER * days, lunations * c.n + 104)
+    report.check("multiplier = Rd(81*N / 2392)", PALENQUE_MULTIPLIER, round_nearest(Fraction(lunations * c.n, days)))
+    report.check("epsilon(2392, 81)", Fraction(104, 81), epsilon(c.n, days, lunations))
+    report.check("2392/81 = 4784/162 = 11960/405", [Fraction(4784, 162), Fraction(11960, 405)], [ratio] * 2)
+    report.check("ratio at 6 decimals", "29.530864", decimal_str(ratio, 6))
     return report
 
 
@@ -227,15 +218,16 @@ def verify_search(result: SearchResult) -> Report:
     return report
 
 
-def eclipse_commensuration() -> Report:
+def eclipse_commensuration(c: Derived) -> Report:
     """Commensuration of the Tzolk'in, the Palenque formula, and the Calendar Round."""
     report = Report("eclipse commensuration")
-    table = math.lcm(260, PALENQUE_DAYS)
+    days, calendar_round = c.model.palenque[0], c.model.calendar_round
+    table = math.lcm(260, days)
     report.check("LCM(260, 2392)", 11960, table)
-    report.check("LCM(260, 2392) = 5 * 2392", table, 5 * PALENQUE_DAYS)
-    combined = math.lcm(11960, CALENDAR_ROUND)
+    report.check("LCM(260, 2392) = 5 * 2392", table, 5 * days)
+    combined = math.lcm(11960, calendar_round)
     report.check("LCM(11960, 18980)", 873080, combined)
     report.check("= 73 * 11960", combined, 73 * 11960)
-    report.check("= 365 * 2392", combined, 365 * PALENQUE_DAYS)
-    report.check("= 46 Calendar Rounds", combined, 46 * CALENDAR_ROUND)
+    report.check("= 365 * 2392", combined, 365 * days)
+    report.check("= 46 Calendar Rounds", combined, 46 * calendar_round)
     return report

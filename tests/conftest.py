@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.errors import InvalidArgument
 
-from mayacal.supernumber import derive_constants
+from mayacal.supernumber import PAPER, derive
 
 # Under $CI (GitHub Actions sets it) a counterexample prints its @reproduce_failure line.
 # Hypothesis versions that bring their own "ci" profile keep its other settings.
@@ -19,4 +19,4 @@ if "CI" in os.environ:
 
 @pytest.fixture(scope="session")
 def constants():
-    return derive_constants()
+    return derive(PAPER)

@@ -16,13 +16,9 @@ from mayacal.correlation import describe, jdn_to_civil, civil_to_jdn
 from mayacal.cycles import cycle_date
 from mayacal.lunar import epsilon, ratio_table, search
 from mayacal.notation import expression_from_day, format_date, parse, resolution
-from mayacal.supernumber import (
-    CANONICAL_PERIODS,
-    XULTUN,
-    creation_residues,
-    cultural_dates,
-    derive_constants,
-)
+from mayacal.supernumber import PAPER, creation_residues, cultural_dates, derive
+
+XULTUN = PAPER.xultun
 
 
 def report(number, name, passed):
@@ -33,7 +29,7 @@ def report(number, name, passed):
 def test_criterion_01_supernumber(capsys):
     code = main(["--format", "json", "verify", "eq1"])
     out = json.loads(capsys.readouterr().out)
-    factors = lcm_factorization(CANONICAL_PERIODS)
+    factors = lcm_factorization(PAPER.periods)
     ok = (
         code == 0
         and out["status"] == "ok"
@@ -58,7 +54,7 @@ def test_criterion_02_xultun_ratios():
 
 
 def test_criterion_03_euclidean_identities():
-    c = derive_constants()
+    c = derive(PAPER)
     n37 = c.n // 37
     x0 = XULTUN[0]
     ok = (
@@ -84,7 +80,7 @@ def test_criterion_04_aeon_identity():
 
 
 def test_criterion_05_creation_residues():
-    computed = {c.name: c.computed for c in creation_residues(derive_constants()).checks}
+    computed = {c.name: c.computed for c in creation_residues(derive(PAPER)).checks}
     ok = (
         computed["N / (13*37*73)"] == 21873355560
         and (computed["mod 260"], computed["mod 13"], computed["mod 20"], computed["mod 73"])
@@ -95,7 +91,7 @@ def test_criterion_05_creation_residues():
 
 
 def test_criterion_06_cultural_dates():
-    rows = {row.label: row for row in cultural_dates(derive_constants())}
+    rows = {row.label: row for row in cultural_dates(derive(PAPER))}
     expected = {
         "I0": (160, 349, 3, 0),
         "5X0": (160, 349, 588, 1),

@@ -88,8 +88,8 @@ class TestRatioTable:
 
 
 class TestPalenque:
-    def test_report_passes(self):
-        report = verify_palenque(N)
+    def test_report_passes(self, constants):
+        report = verify_palenque(constants)
         assert report.ok, report
 
     def test_exact_equation(self):
@@ -191,8 +191,8 @@ class TestMoonAge:
 
 
 class TestEclipseCommensuration:
-    def test_report_passes(self):
-        report = eclipse_commensuration()
+    def test_report_passes(self, constants):
+        report = eclipse_commensuration(constants)
         assert report.ok, report
 
     def test_values(self):

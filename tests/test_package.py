@@ -12,12 +12,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_only_what_its_callers_use():
-    # The README's library example uses cycle_date, derive_constants, epsilon and search.
+    # The README's library example uses cycle_date, derive, PAPER, epsilon and search.
     # bench/worker.py's forward reads cycle_date, describe, expression_from_day, format_date,
     # parse and resolution as package attributes.  Everything else comes from its module.
     public = {name for name, value in vars(mayacal).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert public == {"cycle_date", "derive_constants", "epsilon", "search", "describe", "expression_from_day",
+    assert public == {"cycle_date", "derive", "PAPER", "epsilon", "search", "describe", "expression_from_day",
                       "format_date", "parse", "resolution"}
 
 

@@ -1,6 +1,6 @@
 """Semantics every record keeps: construction, equality, hashing, repr and immutability.
 
-All seventeen records are named tuples.  ``Report`` and ``OutputEnvelope``
+All eighteen records are named tuples.  ``Report`` and ``OutputEnvelope``
 each hold their own ``checks`` list, which makes them the two mutable,
 unhashable ones.  Each entry of ``RECORDS`` names the fields in their
 constructor order, so a renamed or reordered field fails here.
@@ -17,7 +17,7 @@ from mayacal.correlation import GMT_CORRELATION, CivilDate, CorrelationConstant,
 from mayacal.cycles import CycleDate, HaabDate, LongCount, TzolkinDate, cycle_date
 from mayacal.lunar import LunarCandidate, SearchResult
 from mayacal.notation import DateExpression, Resolution
-from mayacal.supernumber import CulturalDate, DerivedConstants
+from mayacal.supernumber import PAPER, CulturalDate, Derived, Model
 
 LONG_ROUND = cycle_date(1366560)
 PALENQUE = LunarCandidate(days=2392, lunations=81, ratio=Fraction(2392, 81), error=Fraction(104, 81), lcm260=11960)
@@ -50,8 +50,9 @@ RECORDS = {
                      "error": Fraction(104, 81), "lcm260": 11960},
     SearchResult: {"candidates": (PALENQUE,), "filtered": (PALENQUE,), "zero_error": (),
                    "minimal_nonzero": (PALENQUE,), "best": PALENQUE, "pareto": (PALENQUE,)},
-    DerivedConstants: {"n": 72, "n_factors": Factorization(((2, 3), (3, 2))), "tun_haab_kawil": 2391480,
-                       "aeon": 136656000, "grand_cycle": 956592000},
+    Model: PAPER._asdict(),
+    Derived: {"model": PAPER, "n": 72, "n_factors": Factorization(((2, 3), (3, 2))), "tun_haab_kawil": 2391480,
+              "aeon": 136656000, "grand_cycle": 956592000, "anchor": 0, "shift": 4680, "kawil_residue": 0},
     CulturalDate: {"label": "LR", "meaning": "Long Round", "day": 1366560, "lcc_display": "9.9.16.0.0",
                    "cycle": LONG_ROUND},
     Check: {"name": "N", "expected": 1, "computed": 1, "passed": True},

@@ -2,17 +2,17 @@ import math
 
 import pytest
 
-from mayacal import supernumber
+from mayacal import cycles
 from mayacal.arith import lcm_factorization
+from mayacal.cli import SUITES
 from mayacal.cycles import CALENDAR_ROUND, ERA, HAAB_EPOCH, KAWIL_CYCLE, KAWIL_EPOCH, TZOLKIN_EPOCH, haab_from_pos
 from mayacal.supernumber import (
-    CANONICAL_PERIODS,
-    LONG_ROUND,
+    PAPER,
     SUPER_NUMBER,
-    XULTUN,
-    XULTUN_UNIT,
+    Model,
     creation_residues,
     cultural_dates,
+    derive,
     verify_aeon_division,
     verify_aeon_identity,
     verify_cultural_dates,
@@ -20,6 +20,9 @@ from mayacal.supernumber import (
     verify_supernumber,
     verify_xultun,
 )
+
+CANONICAL_PERIODS = PAPER.periods
+XULTUN = PAPER.xultun
 
 
 class TestComputeSupernumber:
@@ -50,7 +53,7 @@ class TestDeriveConstants:
         assert constants.grand_cycle == 956592000
         assert constants.aeon == 136656000
         assert ERA == 1872000
-        assert LONG_ROUND == 1366560
+        assert PAPER.long_round == 1366560
         assert CALENDAR_ROUND == 18980
         assert KAWIL_CYCLE == 3276
 
@@ -79,8 +82,14 @@ class TestXultun:
         assert report.ok, report
 
     def test_unit_ratios(self):
-        assert [x // XULTUN_UNIT for x in XULTUN] == [6, 21, 31, 43]
-        assert all(x % XULTUN_UNIT == 0 for x in XULTUN)
+        assert [x // PAPER.xultun_unit for x in XULTUN] == [6, 21, 31, 43]
+        assert all(x % PAPER.xultun_unit == 0 for x in XULTUN)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_long_round_off_by_less_than_four_fails(self, k):
+        # LR / 4 is exact, so a Long Round that 4 does not divide cannot floor onto X0.
+        report = verify_xultun(derive(PAPER._replace(long_round=PAPER.long_round + k)))
+        assert [c.name for c in report.checks if not c.passed] == ["X0 = LR / 4"]
 
 
 class TestEuclidIdentities:
@@ -149,16 +158,23 @@ class TestCreationResidues:
         assert computed["shifted Haab'"] == "8 Cumku"
         assert computed["13-Tun shift to 8 Cumku"] == 4680
 
-    def test_shift_is_derived_not_assumed(self, constants, monkeypatch):
-        # The Haab' epoch is what the shift lands on, so changing it cannot move the report.
-        monkeypatch.setattr(supernumber, "HAAB_EPOCH", 354, raising=False)
-        assert creation_residues(constants).ok
+    def test_shift_is_derived_not_assumed(self, constants):
+        # cycles' epochs equal the creation position that derive finds from N.
+        assert TZOLKIN_EPOCH == constants.anchor % 260 == (constants.anchor + constants.shift) % 260
+        assert HAAB_EPOCH == (constants.anchor % 73 + constants.shift) % 365
+        assert KAWIL_EPOCH == constants.kawil_residue
+
+    def test_creation_kawil_count_reads_the_day_count(self, constants, monkeypatch):
+        # The report checks cycles' Kawil epoch against the derivation, not the residue twice.
+        monkeypatch.setattr(cycles, "KAWIL_EPOCH", 4)
+        report = creation_residues(constants)
+        assert [c.name for c in report.checks if not c.passed] == ["creation Kawil count"]
 
     def test_cycles_epochs_are_the_derived_creation_position(self, constants):
         computed = self.computed(constants)
         assert TZOLKIN_EPOCH == computed["mod 260"]
         assert str(haab_from_pos(HAAB_EPOCH)) == computed["shifted Haab'"]
-        assert KAWIL_EPOCH == computed["creation Kawil count"]
+        assert KAWIL_EPOCH == computed["mod(N/37/32760, 4)"]
 
     def test_shift_scan_from_zip_anchor(self):
         # Oracle: walk 13-Tun completions from the {160; 49} anchor until the
@@ -170,10 +186,12 @@ class TestCreationResidues:
         ]
         assert hits[0] == 4680
 
-    def test_non_divisible_is_hard_failure(self, constants):
-        broken = constants._replace(n=constants.n + 1)
+    def test_non_divisible_is_hard_failure(self):
+        # Without the pentalunex, the only period with a factor 37, N lacks 37.
+        broken = PAPER._replace(periods=PAPER.periods[:-1])
         with pytest.raises(ArithmeticError):
-            creation_residues(broken)
+            creation_residues(derive(broken))
+        assert [f for f in failures(broken) if f.endswith(" raised")] == ["residues raised"]
 
 
 class TestCulturalDates:
@@ -194,3 +212,30 @@ class TestCulturalDates:
         assert rows["GC"].position == (160, 349, 3, 0)
         assert rows["GC"].day == 956592000
         assert rows["GC"].lcc_display == "511×13(0).0.0.0.0"
+
+
+def failures(model):
+    """The checks of ``verify all`` that fail for ``model``; a suite that raises is named as "<scope> raised"."""
+    c = derive(model)
+    failed = []
+    for scope, suite in SUITES.items():
+        try:
+            failed += [check.name for report in suite(c) for check in report.checks if not check.passed]
+        except ArithmeticError:
+            failed.append(f"{scope} raised")
+    return failed
+
+
+def bumped(model, field):
+    """``model`` with ``field`` changed by one: its first element, for a tuple field."""
+    value = getattr(model, field)
+    return model._replace(**{field: (value[0] + 1, *value[1:]) if isinstance(value, tuple) else value + 1})
+
+
+class TestEveryInputIsRead:
+    def test_paper_fails_no_check(self):
+        assert failures(PAPER) == []
+
+    @pytest.mark.parametrize("field", Model._fields)
+    def test_input_changed_by_one_fails_a_check(self, field):
+        assert failures(bumped(PAPER, field))
