@@ -13,20 +13,21 @@ best nonzero one is marked as the winner.
 import argparse
 
 from mayacal.arith import decimal_str
-from mayacal.cli import _integer
 from mayacal.lunar import search
-from mayacal.supernumber import SUPER_NUMBER
+from mayacal.notation import read_int
+from mayacal.supernumber import PAPER, derive
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", type=_integer, default=643, help="largest lunation count")
+    parser.add_argument("--max", default="643", help="largest lunation count")
     parser.add_argument("--all", action="store_true", help="include filtered-out equations")
     args = parser.parse_args(argv)
-    if args.max < 1:  # as `mayacal lunar search` reads the flag
-        parser.error(f"--max must be >= 1, got {args.max}")
-
-    result = search(SUPER_NUMBER, max_lunations=args.max)
+    try:  # as `mayacal lunar search` reads the flag
+        max_lunations = read_int(args.max, "--max")
+        result = search(derive(PAPER).n, max_lunations=max_lunations)
+    except ValueError as exc:
+        parser.error(str(exc))
     shown = result.candidates if args.all else result.filtered
     kept = set(id(c) for c in result.filtered)
     best = result.best
@@ -44,7 +45,7 @@ def main(argv=None):
             f"  eps={decimal_str(c.error, 4):>8}  LCM260={c.lcm260:>7}  {' '.join(flags)}"
         )
 
-    print(f"\nscanned {args.max}, kept {len(result.filtered)}")
+    print(f"\nscanned {max_lunations}, kept {len(result.filtered)}")
     print("zero-error:", ", ".join(c.ratio_str for c in result.zero_error))
     if best is not None:
         print(f"best nonzero: {best.ratio_str} = {decimal_str(best.ratio, 6)} (eps {decimal_str(best.error, 2)})")

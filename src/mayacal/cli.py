@@ -24,13 +24,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, NamedTuple
 
-from .arith import INT63_MAX, Memo, decimal_str, factorize, round_nearest
+from .arith import Memo, decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
 from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, calendar_parts, cycle_date
 from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
                     ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
-from .notation import MAX_DIGITS, DateParseError, era_display, parse, resolution
+from .notation import DateParseError, era_display, parse, read_int, resolution
 from .supernumber import (PAPER, CulturalDate, creation_residues, cultural_dates, derive, named_days,
                           verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
                           verify_grand_cycle_division, verify_supernumber, verify_xultun)
@@ -75,16 +75,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise UsageError(message, self.prog.partition(" ")[2] or self.prog)
-
-
-def _integer(text: str) -> int:
-    """An integer flag: one optional '-', then decimal digits (``int`` also reads '+', '_' and spaces)."""
-    digits = text.removeprefix("-")
-    if not digits.isdecimal():
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if len(digits) > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"value is too long: {len(digits)} digits")
-    return int(text)
 
 
 class OutputEnvelope(NamedTuple("OutputEnvelope", [("command", str), ("status", str), ("payload", dict),
@@ -243,15 +233,11 @@ def _window_row(rounds: Memo, kawils: Memo, places: Memo, jdn_at_creation: int, 
 
 
 def _parse_window(text: str) -> tuple[int, int]:
+    """The bounds of ``LO..HI``; :func:`resolution` checks that ``LO <= HI``."""
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.removeprefix("-").isdecimal() or not hi.removeprefix("-").isdecimal():
+    if not sep:
         raise UsageError(f"window must be LO..HI, got {text!r}")
-    if max(len(lo), len(hi)) > MAX_DIGITS:
-        raise UsageError(f"window bound is too long: {max(len(lo), len(hi))} digits")
-    window = (int(lo), int(hi))
-    if not 0 <= window[0] <= window[1]:
-        raise UsageError(f"window must satisfy 0 <= lo <= hi, got {text!r}")
-    return window
+    return read_int(lo, "window bound"), read_int(hi, "window bound")
 
 
 def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
@@ -261,7 +247,7 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
     if args.window is not None and (expr is None or expr.long_count is not None):
         raise UsageError("--window needs a Calendar Round date without a Long Count")
     if expr is None:
-        return OutputEnvelope.result(args.command, _describe_day(args.day, constant))
+        return OutputEnvelope.result(args.command, _describe_day(read_int(args.day, "--day"), constant))
 
     if expr.long_count is not None:
         day = expr.long_count.days
@@ -335,15 +321,14 @@ def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 
 def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
-    if args.max < 1:
-        raise UsageError(f"--max must be >= 1, got {args.max}")
+    max_lunations = read_int(args.max, "--max")
     n = derive(PAPER).n
-    result = search(n, max_lunations=args.max)
+    result = search(n, max_lunations=max_lunations)
     payload = {
         "supernumber": n,
-        "max_lunations": args.max,
+        "max_lunations": max_lunations,
         "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
-        "scanned": args.max,
+        "scanned": max_lunations,
         "within_calendar_round": len(result.filtered),
         "zero_error": Rows(_CANDIDATE_FIELDS, _candidate_row, result.zero_error),
         "minimal_nonzero": Rows(_CANDIDATE_FIELDS, _candidate_row, result.minimal_nonzero),
@@ -351,7 +336,7 @@ def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
         "pareto": Rows(_CANDIDATE_FIELDS, _candidate_row, result.pareto),
     }
     # The published-outcome checks only apply to the full 643-lunation scan.
-    checks = verify_search(result).checks if args.max == 643 else []
+    checks = verify_search(result).checks if max_lunations == 643 else []
     return OutputEnvelope.result(args.command, payload, checks)
 
 
@@ -359,8 +344,6 @@ def cmd_lunar_age(args, constant: CorrelationConstant) -> OutputEnvelope:
     lc = _parse_day_arg(args.lc, "--lc")
     lc0 = _parse_day_arg(args.lc0, "--lc0")
     ratio = _parse_ratio(args.ratio)
-    if lc < lc0:
-        raise UsageError(f"--lc day {lc} precedes --lc0 day {lc0}")
     age = moon_age(lc, lc0, ratio)
     payload = {
         "lc": lc,
@@ -373,18 +356,10 @@ def cmd_lunar_age(args, constant: CorrelationConstant) -> OutputEnvelope:
 
 
 def _parse_day_arg(text: str, flag: str) -> int:
-    """A day number given as an integer or a Long Count string."""
-    digits = text.removeprefix("-")
-    if digits.isdecimal():
-        if len(digits) > MAX_DIGITS:
-            raise DateParseError(f"{flag} is too long: {len(digits)} digits", 0)
-        day = int(text)
-        if day < 0:
-            raise UsageError(f"{flag} must be non-negative, got {day}")
-        return day
-    expr = parse(text) if "." in text else None  # a Long Count has dots; the parser's errors name its form
-    if expr is None or expr.long_count is None:
-        raise UsageError(f"{flag} needs a day number or a Long Count date, got {text!r}")
+    """A day number, or a Long Count date: text with a dot, which parses as one or gets the parser's error."""
+    if "." not in text:
+        return read_int(text, flag)
+    expr = parse(text)
     day = expr.long_count.days
     if resolution(expr, (day, day)).inconsistent:
         raise UsageError(f"{flag}: {text!r} is not self-consistent")
@@ -392,21 +367,19 @@ def _parse_day_arg(text: str, flag: str) -> int:
 
 
 def _parse_ratio(text: str) -> Fraction:
-    num, sep, den = text.partition("/")
-    valid = sep and num.isdecimal() and den.isdecimal()
-    if valid and max(len(num), len(den)) > MAX_DIGITS:
-        raise UsageError(f"ratio term is too long: {max(len(num), len(den))} digits")
-    if not (valid and int(num) and int(den)):
-        raise UsageError(f"ratio must be DAYS/LUNATIONS with positive integers, got {text!r}")
-    return Fraction(int(num), int(den))
+    days, sep, lunations = text.partition("/")
+    if sep:
+        days, lunations = read_int(days, "ratio term"), read_int(lunations, "ratio term")
+        if lunations:  # Fraction(days, 0) raises ZeroDivisionError; moon_age refuses a zero ratio
+            return Fraction(days, lunations)
+    raise UsageError(f"ratio must be DAYS/LUNATIONS with positive integers, got {text!r}")
 
 
 def cmd_factor(args, constant: CorrelationConstant) -> OutputEnvelope:
-    if args.n < 1 or args.n > INT63_MAX:
-        raise UsageError(f"n must be in 1..{INT63_MAX}, got {args.n}")
-    factors = factorize(args.n)
+    n = read_int(args.n, "n")
+    factors = factorize(n)
     payload = {
-        "n": args.n,
+        "n": n,
         "factorization": str(factors),
         "factors": {str(p): m for p, m in factors.factors},
     }
@@ -436,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     output = _Parser(add_help=False)
     output.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
                         help=f"output rendering (default text; ${FORMAT_ENV_VAR} overrides)")
-    output.add_argument("--correlation", type=_integer, default=argparse.SUPPRESS, metavar="JDN",
+    output.add_argument("--correlation", default=argparse.SUPPRESS, metavar="JDN",
                         help=f"JDN of day 0 (default {GMT_CORRELATION}, the GMT correlation)")
     parser = _Parser(
         prog="mayacal",
@@ -455,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "convert", cmd_convert, "convert a date string or day number to every cycle")
     p.add_argument("date", nargs="?", help="Long Count (9.9.16.0.0), Calendar Round "
                    "(4 Ahau 8 Cumku), or combined date string")
-    p.add_argument("--day", type=_integer, help="day number since creation")
+    p.add_argument("--day", help="day number since creation")
     p.add_argument("--window", help="inclusive day range LO..HI for recurring dates")
 
     p = leaf(sub, "verify", cmd_verify, "run the identity suites")
@@ -465,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     lunar_sub = p.add_subparsers(dest="subcommand", required=True)
     leaf(lunar_sub, "table", cmd_lunar_table, "attested lunar equations and their errors")
     p = leaf(lunar_sub, "search", cmd_lunar_search, "scan lunar equations against the super-number")
-    p.add_argument("--max", type=_integer, default=643, help="largest lunation count to scan")
+    p.add_argument("--max", default="643", help="largest lunation count to scan")
     p = leaf(lunar_sub, "age", cmd_lunar_age, "days into the lunation at a date")
     p.add_argument("--lc", required=True, help="date (day number or Long Count)")
     p.add_argument("--lc0", required=True, help="new-Moon anchor (day number or Long Count)")
     p.add_argument("--ratio", default="2392/81", help="Moon ratio DAYS/LUNATIONS")
 
     p = leaf(sub, "factor", cmd_factor, "prime factorization of a positive integer")
-    p.add_argument("n", type=_integer)
+    p.add_argument("n")
 
     p = leaf(sub, "table", cmd_table, "emit a named table")
     p.add_argument("name", choices=("cultural-dates",))
@@ -551,8 +524,8 @@ def main(argv: list[str] | None = None) -> int:
         return _emit(OutputEnvelope.error(exc.command, str(exc)), fmt)
 
     try:
-        constant = CorrelationConstant(getattr(args, "correlation", GMT_CORRELATION))
-        envelope = args.run(args, constant)
+        correlation = read_int(getattr(args, "correlation", str(GMT_CORRELATION)), "--correlation")
+        envelope = args.run(args, CorrelationConstant(correlation))
     except DateParseError as exc:
         envelope = OutputEnvelope.error(args.command, str(exc), position=exc.position)
     except (UsageError, ValueError) as exc:

@@ -108,12 +108,22 @@ class _TokenError(Exception):
 MAX_DIGITS = min(4000, (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4008) - 8)
 
 
+def read_int(text: str, what: str) -> int:
+    """A number from input: decimal digits only (any script's, as :func:`int` reads them), no sign, and at most
+    :data:`MAX_DIGITS` of them.  Else ValueError, ``bad {what} {text!r}`` or ``{what} is too long: {n} digits``."""
+    if not text.isdecimal():
+        raise ValueError(f"bad {what} {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise ValueError(f"{what} is too long: {len(text)} digits")
+    return int(text)
+
+
 def _read_int(token: str, what: str, index: int, shift: int = 0) -> int:
-    if not token.isdecimal():
-        raise _TokenError(f"bad {what} {token!r}", index, shift)
-    if len(token) > MAX_DIGITS:
-        raise _TokenError(f"{what} is too long: {len(token)} digits", index, shift)
-    return int(token)
+    """:func:`read_int` of a date string's token, its error placed at the token's ``index`` and ``shift``."""
+    try:
+        return read_int(token, what)
+    except ValueError as exc:
+        raise _TokenError(str(exc), index, shift) from None
 
 
 def expression_from_day(day: int) -> DateExpression:
@@ -123,8 +133,6 @@ def expression_from_day(day: int) -> DateExpression:
 
 def _parse_baktun(lead: str) -> int:
     """Plain digits, or the era sugar 13(0) or k×13(0) that :func:`era_display` prints."""
-    if lead.isdecimal():
-        return _read_int(lead, "baktun", 0)
     match = _LEADING_DIGIT.match(lead)
     if match is None:
         raise _TokenError(f"bad long count digit {lead!r}", 0, 0)

@@ -74,7 +74,7 @@ def derive(model: Model) -> Derived:
     """
     factors = lcm_factorization(model.periods)
     n = factors.value
-    x0 = math.lcm(260, 360, 365)
+    x0 = model.xultun[0]
     # The least shift that is whole 13-Tun cycles and whole Tzolk'ins.
     _, shift = crt(((0, 13 * TUN), (0, TZOLKIN_DAYS)))
     return Derived(model=model, n=n, n_factors=factors, tun_haab_kawil=math.lcm(360, 365, model.kawil_cycle),
@@ -298,5 +298,5 @@ def verify_cultural_dates(c: Derived) -> Report:
         report.check(f"{row.label} LCC", display, row.lcc_display)
         report.check(f"{row.label} {{T;H;K;n}}", position, row.position)
     # 5X0 keeps the canonical digit expansion as well as the published form.
-    report.check("5X0 digits", "11.17.5.0.0", str(cycle_date(1708200).long_count))
+    report.check("5X0 digits", "11.17.5.0.0", str(cycle_date(5 * c.model.xultun[0]).long_count))
     return report

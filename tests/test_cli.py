@@ -149,15 +149,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
-        "argv,command",
-        [(["frobnicate"], "mayacal"), (["verify", "eq9"], "verify"), (["convert", "--day", "x"], "convert"),
-         # Every integer flag reads one optional '-' and decimal digits, as --window and --lc do.
-         (["convert", "--day", "1_000"], "convert"), (["--correlation", "+584283", "verify"], "mayacal"),
-         (["lunar", "search", "--max", " 5"], "lunar search"), (["factor", "3_276"], "factor")],
+        "argv,command,error",
+        [(["frobnicate"], "mayacal", "argument "), (["verify", "eq9"], "verify", "argument "),
+         # Every number is read after argparse, by notation.read_int: decimal digits only, as --window and --lc.
+         (["convert", "--day", "x"], "convert", "bad --day 'x'"),
+         (["convert", "--day", "1_000"], "convert", "bad --day '1_000'"),
+         (["--correlation", "+584283", "verify"], "verify", "bad --correlation '+584283'"),
+         (["lunar", "search", "--max", " 5"], "lunar search", "bad --max ' 5'"),
+         (["factor", "3_276"], "factor", "bad n '3_276'")],
         ids=["frobnicate", "verify-eq9", "day-x", "day-underscore", "correlation-plus", "max-space",
              "factor-underscore"],
     )
-    def test_usage_error_from_argparse(self, capsys, monkeypatch, fmt, argv, command):
+    def test_usage_error_from_argparse(self, capsys, monkeypatch, fmt, argv, command, error):
         for asked_by in ("flag", "env"):
             if asked_by == "flag":
                 monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
@@ -170,9 +173,9 @@ class TestExitCodes:
             if fmt == "json":
                 data = json.loads(out)
                 assert (data["command"], data["status"]) == (command, "error")
-                assert data["payload"]["error"].startswith("argument ")
+                assert data["payload"]["error"].startswith(error)
             else:
-                assert out.startswith(f"command: {command}\nstatus: error\nerror: argument "), asked_by
+                assert out.startswith(f"command: {command}\nstatus: error\nerror: {error}"), asked_by
 
     @pytest.mark.parametrize(
         "argv",
@@ -210,21 +213,21 @@ class TestExitCodes:
 
     def test_non_decimal_digit_in_flags(self, run):
         code, out = run("convert", "4 Ahau 8 Cumku", "--window", "0..²")
-        assert code == 2 and "window must be LO..HI" in out
+        assert code == 2 and "error: bad window bound '²'" in out
         code, out = run("lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", "²/81")
-        assert code == 2 and "ratio must be DAYS/LUNATIONS" in out
+        assert code == 2 and "error: bad ratio term '²'" in out
         code, out = run("--format", "json", "lunar", "age", "--lc", "²", "--lc0", "0")
         assert code == 2
-        assert json.loads(out)["payload"] == {"error": "--lc needs a day number or a Long Count date, got '²'"}
+        assert json.loads(out)["payload"] == {"error": "bad --lc '²'"}
         code, out = run("--format", "json", "lunar", "age", "--lc", "9.².16.0.0", "--lc0", "0")
         assert code == 2
         assert json.loads(out)["payload"]["position"] == 2
-        # Only one minus sign may precede the digits.
+        # No sign may precede the digits.
         code, out = run("convert", "4 Ahau 8 Cumku", "--window=--5..6")
-        assert code == 2 and "window must be LO..HI, got '--5..6'" in out
+        assert code == 2 and "error: bad window bound '--5'" in out
         code, out = run("--format", "json", "lunar", "age", "--lc=--5", "--lc0", "0")
         assert code == 2
-        assert json.loads(out)["payload"] == {"error": "--lc needs a day number or a Long Count date, got '--5'"}
+        assert json.loads(out)["payload"] == {"error": "bad --lc '--5'"}
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize(
@@ -232,22 +235,20 @@ class TestExitCodes:
         [
             (["convert", f"1.{TOO_LONG}.0.0.0"], "long count digit is too long: 5000 digits", 2),
             (["convert", f"4 Ahau {TOO_LONG} Cumku"], "Haab' day is too long: 5000 digits", 7),
-            (["lunar", "age", "--lc", TOO_LONG, "--lc0", "0"], "--lc is too long: 5000 digits", 0),
+            (["lunar", "age", "--lc", TOO_LONG, "--lc0", "0"], "--lc is too long: 5000 digits", None),
             (["convert", CREATION_CR, "--window", f"0..{TOO_LONG}"], "window bound is too long: 5000 digits", None),
             (["lunar", "age", "--lc", "5", "--lc0", "0", "--ratio", f"{TOO_LONG}/81"],
              "ratio term is too long: 5000 digits", None),
-            (["convert", "--day", TOO_LONG], "argument --day: value is too long: 5000 digits", None),
+            (["convert", "--day", TOO_LONG], "--day is too long: 5000 digits", None),
             # Numbers that int() converts, but whose derived day or JDN it could not write.
-            (["convert", "--day", PAST_LIMIT], "argument --day: value is too long: 4300 digits", None),
-            (["--correlation", PAST_LIMIT, "convert", "--day", "5"],
-             "argument --correlation: value is too long: 4300 digits", None),
+            (["convert", "--day", PAST_LIMIT], "--day is too long: 4300 digits", None),
+            (["--correlation", PAST_LIMIT, "convert", "--day", "5"], "--correlation is too long: 4300 digits", None),
             (["convert", CREATION_CR, "--window", f"{10**4300 - 40001}..{PAST_LIMIT}"],
              "window bound is too long: 4300 digits", None),
             (["lunar", "age", "--lc", f"{PAST_LIMIT}.0.0.0.0", "--lc0", "0"], "baktun is too long: 4300 digits", 0),
             (["convert", f"{PAST_LIMIT[1:]}×13(0).0.0.0.0"], "era multiple is too long: 4299 digits", 0),
             (["convert", f"{PAST_LIMIT}.0.0.0.0"], "baktun is too long: 4300 digits", 0),
-            (["convert", "--day", "9" * (MAX_DIGITS + 1)], f"argument --day: value is too long: {MAX_DIGITS + 1} digits",
-             None),
+            (["convert", "--day", "9" * (MAX_DIGITS + 1)], f"--day is too long: {MAX_DIGITS + 1} digits", None),
         ],
         ids=["long-count", "calendar-round", "lc", "window", "ratio", "day", "day-4300", "correlation-4300",
              "window-jdn", "lc-long-count", "era-multiple", "baktun-4300", "day-past-bound"],
@@ -301,7 +302,7 @@ class TestExitCodes:
         "argv,error,position",
         [
             (["convert", f"{'9' * 639}×13(0).0.0.0.0"], "era multiple is too long: 639 digits (at offset 0)", 0),
-            (["convert", "--day", "9" * 700], "argument --day: value is too long: 700 digits", None),
+            (["convert", "--day", "9" * 700], "--day is too long: 700 digits", None),
         ],
         ids=["era-multiple", "day"],
     )
@@ -441,17 +442,13 @@ class TestExitCodes:
         "argv,command,error",
         [
             (["convert", CREATION_CR, "--window", "5..3"], "convert",
-             "window must satisfy 0 <= lo <= hi, got '5..3'"),
-            (["lunar", "age", "--lc", "-5", "--lc0", "0"], "lunar age", "--lc must be non-negative, got -5"),
-            (["lunar", "age", "--lc", CREATION_CR, "--lc0", "0"], "lunar age",
-             f"--lc needs a day number or a Long Count date, got '{CREATION_CR}'"),
-            # Text with no dot is no Long Count, whatever else int() would read in it.
-            (["lunar", "age", "--lc", "1_0", "--lc0", "0"], "lunar age",
-             "--lc needs a day number or a Long Count date, got '1_0'"),
-            (["lunar", "age", "--lc", "5", "--lc0", " 5"], "lunar age",
-             "--lc0 needs a day number or a Long Count date, got ' 5'"),
-            (["lunar", "age", "--lc", "+5", "--lc0", "0"], "lunar age",
-             "--lc needs a day number or a Long Count date, got '+5'"),
+             "window must satisfy 0 <= lo <= hi, got (5, 3)"),
+            (["lunar", "age", "--lc", "-5", "--lc0", "0"], "lunar age", "bad --lc '-5'"),
+            # Text with no dot is a day number, whatever else int() would read in it.
+            (["lunar", "age", "--lc", CREATION_CR, "--lc0", "0"], "lunar age", f"bad --lc '{CREATION_CR}'"),
+            (["lunar", "age", "--lc", "1_0", "--lc0", "0"], "lunar age", "bad --lc '1_0'"),
+            (["lunar", "age", "--lc", "5", "--lc0", " 5"], "lunar age", "bad --lc0 ' 5'"),
+            (["lunar", "age", "--lc", "+5", "--lc0", "0"], "lunar age", "bad --lc '+5'"),
             (["lunar", "age", "--lc", "9.16.15.0.0 1 Imix 0 Pop", "--lc0", "0"], "lunar age",
              "--lc: '9.16.15.0.0 1 Imix 0 Pop' is not self-consistent"),
             (["convert", "9.9.16.0.0", "--window", "0..5"], "convert",
@@ -469,6 +466,41 @@ class TestExitCodes:
             assert json.loads(out) == {"command": command, "status": "error", "payload": {"error": error}, "checks": []}
         else:
             assert out == f"command: {command}\nstatus: error\nerror: {error}\n"
+
+    @pytest.mark.parametrize(
+        "template,command,what",
+        [
+            (["convert", "--day={}"], "convert", "--day"),
+            (["--correlation={}", "convert", "--day", "0"], "convert", "--correlation"),
+            (["lunar", "search", "--max={}"], "lunar search", "--max"),
+            (["factor", "{}"], "factor", "n"),
+            (["convert", CREATION_CR, "--window={}..40000"], "convert", "window bound"),
+            (["convert", CREATION_CR, "--window=0..{}"], "convert", "window bound"),
+            (["lunar", "age", "--lc={}", "--lc0", "0"], "lunar age", "--lc"),
+            (["lunar", "age", "--lc", "9", "--lc0={}"], "lunar age", "--lc0"),
+            (["lunar", "age", "--lc", "9", "--lc0", "0", "--ratio={}/81"], "lunar age", "ratio term"),
+            (["lunar", "age", "--lc", "9", "--lc0", "0", "--ratio=2392/{}"], "lunar age", "ratio term"),
+        ],
+        ids=["day", "correlation", "max", "factor", "window-lo", "window-hi", "lc", "lc0", "ratio-days",
+             "ratio-lunations"],
+    )
+    @pytest.mark.parametrize(
+        "spelling,error",
+        [("7", None), ("007", None), ("٧", None), ("７", None),
+         ("+7", "bad"), ("-7", "bad"), ("7_0", "bad"), (" 7", "bad"), ("²", "bad"),
+         ("9" * (MAX_DIGITS + 1), "too long"), ("-" + "9" * 4000, "bad")],
+        ids=["plain", "zeros", "arabic-indic", "fullwidth", "plus", "minus", "underscore", "space", "superscript",
+             "past-bound", "minus-at-bound"],
+    )
+    def test_every_integer_input_is_read_alike(self, run, template, command, what, spelling, error):
+        # One reader: decimal digits of any script, no sign, at most MAX_DIGITS; else one of its two messages.
+        code, out = run("--format", "json", *(arg.format(spelling) for arg in template))
+        if error is None:
+            assert (code, out) == (0, run("--format", "json", *(arg.format("7") for arg in template))[1])
+            return
+        message = f"bad {what} {spelling!r}" if error == "bad" else f"{what} is too long: {len(spelling)} digits"
+        assert code == 2
+        assert json.loads(out) == {"command": command, "status": "error", "payload": {"error": message}, "checks": []}
 
     def test_envelope_exit_mapping(self):
         ok = OutputEnvelope.result("x", {})
@@ -1066,8 +1098,8 @@ def test_lunar_search_script(capsys, monkeypatch, flags):
     assert "scanned 643, kept 14" in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("value,error", [("1_0", "argument --max: invalid int value: '1_0'"),
-                                         ("0", "--max must be >= 1, got 0")], ids=["underscore", "zero"])
+@pytest.mark.parametrize("value,error", [("1_0", "bad --max '1_0'"), ("0", "max_lunations must be >= 1")],
+                         ids=["underscore", "zero"])
 def test_lunar_search_script_reads_max_as_the_cli_does(capsys, value, error):
     script = runpy.run_path(str(SRC.parent / "scripts" / "lunar_search.py"))
     with pytest.raises(SystemExit) as exc:

@@ -239,3 +239,9 @@ class TestEveryInputIsRead:
     @pytest.mark.parametrize("field", Model._fields)
     def test_input_changed_by_one_fails_a_check(self, field):
         assert failures(bumped(PAPER, field))
+
+    def test_aeon_is_derived_from_the_first_xultun_number(self):
+        # A = 400 * X0 and GC = 7 * A follow X0, so the checks and rows that read them fail with it.
+        failed = failures(bumped(PAPER, "xultun"))
+        assert {"A = LCM(260, 365, 144000)", "5A day", "5A LCC", "5A {T;H;K;n}", "GC day", "GC LCC", "GC {T;H;K;n}",
+                "5X0 digits"} <= set(failed)
