@@ -13,12 +13,13 @@ copies without ``src/mayacal/__pycache__`` (``git archive`` makes them): a
 checkout's bytecode cache is read even under ``PYTHONDONTWRITEBYTECODE=1``,
 and it shortens a cold call's imports, though not the calls timed here.  The
 "window row" lines are one match of a ``convert --window`` list, rendered
-as ``main`` renders it: a 1001-match window and the 52688-match window
-0..10^9, each timed whole and divided by its matches.  Each repeat builds
-the envelope with ``cmd_convert``, so its rows start from empty window
-tables and fill them, as in a cold call; only the Gregorian day-of-year
-table of ``correlation`` (at most 366 entries, kept by the process) stays
-filled after the first repeat.  The "verify all, json" and "table
+as ``main`` renders it: the 53-match window 0..10^6, a 1001-match window and
+the 52688-match window 0..10^9, each timed whole and divided by its matches.
+Each repeat builds the envelope with ``cmd_convert``, so its rows render the
+fields that repeat (at most 1 + 63 + 360 of them) again, as in a cold call;
+only the Gregorian day-of-year table of ``correlation`` (at most 366
+entries, kept by the process) stays filled after the first repeat.  The
+"verify all, json" and "table
 cultural-dates" lines render those commands' envelopes, made once, as
 ``main`` renders them (the table in text), so that a change to the
 renderers can be timed without start-up.  The
@@ -39,8 +40,8 @@ from mayacal.notation import expression_from_day, format_date, parse, resolution
 DAY = 1366560
 ERA_DAY = 365 * ERA
 NON_CANONICAL = "09.09.16.00.00 04 Ahau 08 Cumku"
-#: Windows of 4 Ahau 8 Cumku by their matches: the days 0, 18980, ..., 18980000, and 0..10^9.
-WINDOWS = {1001: 18980 * 1000, 52688: 10**9}
+#: Windows of 4 Ahau 8 Cumku by their matches: 0..10^6, the days 0, 18980, ..., 18980000, and 0..10^9.
+WINDOWS = {53: 10**6, 1001: 18980 * 1000, 52688: 10**9}
 
 
 def round_trip(day: int) -> None:

@@ -11,11 +11,11 @@ class Rows:
     """Records made lazily and never held whole: ``row(key)`` gives, for each
     of ``keys``, the values of ``fields`` in order (str, int, bool, None, list or dict).
 
-    Iterating yields each row as a dict, and truth asks ``keys``, which may be
-    a range too long for ``len``.  The renderers write ``row``'s values
-    through one template made from ``fields``: text writes each value with
-    ``str``, and JSON writes an int or a str inline and any other value (a
-    list, a dict, a bool or None) as it writes that value alone.
+    Iterating yields each row as a dict, and truth asks ``keys``.  The
+    renderers write ``row``'s values through one template made from
+    ``fields``: text writes each value with ``str``, and JSON writes an int
+    or a str inline and any other value (a list, a dict, a bool or None) as
+    it writes that value alone.
     """
 
     __slots__ = ("fields", "row", "keys")

@@ -24,16 +24,17 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, NamedTuple
 
-from .arith import Memo, decimal_str, factorize, round_nearest
+from .arith import decimal_str, factorize, round_nearest
 from .checks import Check, Rows, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
-from .cycles import BAKTUN, CALENDAR_ROUND, ERA, KATUN, KAWIL_CYCLE, calendar_parts, cycle_date
+from .cycles import ERA, cycle_date
 from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
                     ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
 from .notation import DateParseError, era_display, parse, read_int, resolution
 from .supernumber import (PAPER, CulturalDate, creation_residues, cultural_dates, derive, named_days,
                           verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
                           verify_grand_cycle_division, verify_supernumber, verify_xultun)
+from .window import WRITE_BATCH, WindowMatches
 
 FORMAT_ENV_VAR = "MAYACAL_FORMAT"
 FORMATS = ("text", "json")
@@ -44,10 +45,6 @@ BROKEN_PIPE_EXIT = 120
 
 #: Exit code of an unexpected exception in a command, a fault in mayacal itself.
 FAULT_EXIT = 3
-
-#: Characters joined per write: each write is a syscall when stdout is
-#: unbuffered (``PYTHONUNBUFFERED``), and a bounded batch keeps memory flat.
-WRITE_BATCH = 1 << 16
 
 #: The verify suites in paper order, each a function of one model's
 #: derived record; ``verify all`` runs every one.
@@ -140,6 +137,9 @@ def _text_lines(value: dict, indent: int = 0) -> Iterator[str]:
         if isinstance(item, dict) and item:  # an empty one is written "{}", as JSON writes it
             yield f"{pad}{key}:"
             yield from _text_lines(item, indent + 1)
+        elif isinstance(item, WindowMatches):
+            yield f"{pad}{key}:"
+            yield from item.text(pad)
         elif isinstance(item, Rows) and item:
             yield f"{pad}{key}:"  # then each row as a list entry below, one string of lines
             template = f"{pad}  - " + f"\n{pad}    ".join(f"{field}: %s" for field in item.fields)
@@ -184,6 +184,11 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
         yield pad + "]"
     elif isinstance(value, str):
         yield quote(value)
+    elif isinstance(value, WindowMatches):
+        pieces = value.json(quote, inner)
+        yield "[" + next(pieces)
+        yield from map(",".__add__, pieces)
+        yield pad + "]"
     elif isinstance(value, (dict, list, Rows)):
         yield "{}" if isinstance(value, dict) else "[]"
     elif value is None or value is True or value is False:
@@ -218,20 +223,6 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
 #: The fields of a check in a JSON envelope.
 _CHECK_FIELDS = ("name", "expected", "computed", "pass")
 
-#: The fields of a window match, in the order both formats write them.
-_MATCH_FIELDS = ("day", "long_count", "calendar_round", "kawil", "direction_color_name", "jdn", "gregorian")
-
-
-def _window_row(rounds: Memo, kawils: Memo, places: Memo, jdn_at_creation: int, day: int) -> tuple:
-    """The values of :data:`_MATCH_FIELDS` for a day.  A window's days step by the Calendar Round, so each field
-    that a cycle decides repeats: it is read from the window's table of it, by the day's residue, made once from
-    :func:`calendar_parts` (the Kawil's from :func:`cycle_date`).  Baktun, katun, JDN and Gregorian are the day's."""
-    jdn = day + jdn_at_creation
-    kawil, color = kawils[day % KAWIL_CYCLE]
-    return (day, f"{day // BAKTUN}.{day // KATUN % 20}.{places[day % KATUN]}", rounds[day % CALENDAR_ROUND],
-            kawil, color, jdn, gregorian_display(jdn))
-
-
 def _parse_window(text: str) -> tuple[int, int]:
     """The bounds of ``LO..HI``; :func:`resolution` checks that ``LO <= HI``."""
     lo, sep, hi = text.partition("..")
@@ -265,15 +256,11 @@ def cmd_convert(args, constant: CorrelationConstant) -> OutputEnvelope:
         raise UsageError("calendar-round dates recur every 18980 days; give --window LO..HI")
     window = _parse_window(args.window)
     days = resolution(expr, window).days
-    # The window's own tables, filled as its rows are written; the last holds "tun.winal.kin".
-    row = partial(_window_row, Memo(lambda r: "%s %s" % calendar_parts(r)[1:]),
-                  Memo(lambda r: ((cd := cycle_date(r)).kawil, cd.direction_color_name)),
-                  Memo(lambda r: "%d.%d.%d" % calendar_parts(r)[0][2:]), constant.jdn_at_creation)
     payload = {
         "input": args.date,
         "window": f"{window[0]}..{window[1]}",
         "count": (days[-1] - days[0]) // days.step + 1 if days else 0,  # len() stops at 2^63
-        "matches": Rows(_MATCH_FIELDS, row, days),
+        "matches": WindowMatches(days, constant.jdn_at_creation) if days else [],
     }
     return OutputEnvelope.result(args.command, payload)
 

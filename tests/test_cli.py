@@ -17,11 +17,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mayacal import cli
+from mayacal import cli, window
 from mayacal.checks import Check, Rows
 from mayacal.cli import OutputEnvelope, main
 from mayacal.correlation import _DAYS_OF_YEAR, GMT_CORRELATION, CorrelationConstant, describe
-from mayacal.cycles import KATUN, KAWIL_CYCLE, cycle_date
+from mayacal.cycles import BAKTUN, KATUN, KAWIL_CYCLE, cycle_date
 from mayacal.lunar import search
 from mayacal.notation import MAX_DIGITS
 from mayacal.supernumber import named_days
@@ -44,7 +44,7 @@ def python(*args: str) -> subprocess.CompletedProcess:
 
 
 def match_summary(day: int, constant: CorrelationConstant) -> dict:
-    """A window match built from the records, the reference for ``cli._window_row``."""
+    """A window match built from the records, the reference for :class:`~mayacal.window.WindowMatches`."""
     cd = cycle_date(day)
     corr = describe(day, constant)
     return {
@@ -58,18 +58,23 @@ def match_summary(day: int, constant: CorrelationConstant) -> dict:
     }
 
 
-def assert_rows_match_the_records(day: int, lo: int, width: int, correlation: int) -> Rows:
+def assert_rows_match_the_records(day: int, lo: int, width: int, correlation: int) -> None:
     """Check both renderings of the window ``lo..lo + width`` of a day's Calendar Round
-    against :func:`match_summary` of each match; return its rows."""
+    against :func:`match_summary` of each match."""
     argv = ["convert", cycle_date(day).calendar_round, "--window", f"{lo}..{lo + width}"]
     constant = CorrelationConstant(correlation)
     envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), constant)
-    rows = envelope.payload["matches"]
+    assert_renders_the_records(envelope, constant)
+
+
+def assert_renders_the_records(envelope: OutputEnvelope, constant: CorrelationConstant) -> None:
+    """Check both renderings of an envelope whose ``matches`` are a window's against the same
+    envelope with :func:`match_summary` of each of its days in their place."""
+    matches = envelope.payload["matches"]
     reference = reference_rendering("convert", {
-        **envelope.payload, "matches": [match_summary(d, constant) for d in rows.keys]})
+        **envelope.payload, "matches": [match_summary(d, constant) for d in (matches.days if matches else [])]})
     assert envelope.to_text() == reference["text"]
     assert envelope.to_json() == reference["json"]
-    return rows
 
 
 def reference_rendering(command: str, payload: dict) -> dict[str, str]:
@@ -114,15 +119,15 @@ class Full(Exception):
 
 
 class Sink:
-    """A stdout that counts what it is written, keeps the first 4096 characters,
+    """A stdout that counts what it is written, keeps the first ``keep`` characters,
     and raises :class:`Full` once it has taken ``limit`` characters."""
 
-    def __init__(self, limit: float = float("inf")) -> None:
-        self.head, self.size, self.limit = "", 0, limit
+    def __init__(self, limit: float = float("inf"), keep: int = 4096) -> None:
+        self.head, self.size, self.limit, self.keep = "", 0, limit, keep
 
     def write(self, text: str) -> int:
-        if len(self.head) < 4096:
-            self.head = (self.head + text)[:4096]
+        if len(self.head) < self.keep:
+            self.head = (self.head + text)[:self.keep]
         self.size += len(text)
         if self.size >= self.limit:
             raise Full
@@ -360,16 +365,16 @@ class TestExitCodes:
         assert raised_at.startswith("test_cli.py:")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("patched,argv", [("gregorian_display", ["table", "cultural-dates"]),
-                                              ("_window_row", ["convert", CREATION_CR, "--window", "0..40000"])],
+    @pytest.mark.parametrize("owner,argv", [(cli, ["table", "cultural-dates"]),
+                                            (window, ["convert", CREATION_CR, "--window", "0..40000"])],
                              ids=["table", "narrow-window"])
-    def test_render_fault_gets_an_envelope(self, capsys, monkeypatch, fmt, patched, argv):
+    def test_render_fault_gets_an_envelope(self, capsys, monkeypatch, fmt, owner, argv):
         # Rows are made while the envelope renders; a fault there, before anything
         # is written, gets the envelope a fault in the handler gets.
         def broken(*args):
             raise TypeError("boom")
 
-        monkeypatch.setattr(cli, patched, broken)
+        monkeypatch.setattr(owner, "gregorian_display", broken)
         code = main(["--format", fmt, *argv])
         out, err = capsys.readouterr()
         assert (code, err) == (cli.FAULT_EXIT, "")
@@ -386,18 +391,18 @@ class TestExitCodes:
     def test_render_fault_after_output_truncates(self, capsys, monkeypatch, fmt):
         # Once a batch is written no envelope can follow: stdout stops, as a
         # killed call leaves it, and the fault is one line on stderr.
-        row, faulty = cli._window_row, CALENDAR_ROUND * 3000
+        civil, faulty = window.gregorian_display, CALENDAR_ROUND * 3000
 
-        def breaks_late(*args):  # the window's tables, its correlation and the day
-            if args[-1] == faulty:
+        def breaks_late(jdn):  # at the row of day `faulty`
+            if jdn == faulty + GMT_CORRELATION:
                 raise TypeError("boom")
-            return row(*args)
+            return civil(jdn)
 
         argv = ["--format", fmt, "convert", CREATION_CR, "--window", f"0..{CALENDAR_ROUND * 4000}"]
-        monkeypatch.setattr(cli, "_window_row", breaks_late)
+        monkeypatch.setattr(window, "gregorian_display", breaks_late)
         code = main(argv)
         out, err = capsys.readouterr()
-        monkeypatch.setattr(cli, "_window_row", row)
+        monkeypatch.setattr(window, "gregorian_display", civil)
         assert main(argv) == 0
         whole = capsys.readouterr().out
         assert code == cli.FAULT_EXIT
@@ -576,6 +581,22 @@ def command_lines(draw) -> list[str]:
     return argv + [token for group in draw(st.permutations(tail)) for token in group]
 
 
+def assert_window_head(head: str, fmt: str) -> None:
+    """Check that ``head`` starts one ``ok`` ``convert`` envelope in ``fmt`` whose exact ``count`` is
+    that of the progression of the days it lists, from the first to the window's end."""
+    if fmt == "json":
+        assert head.startswith('{\n  "command": "convert",\n  "status": "ok",\n  "payload": {\n    "input": ')
+        lo, hi, count = map(int, re.search(r'\n    "window": "(\d+)\.\.(\d+)",\n    "count": (\d+),\n', head).groups())
+        days = [int(day) for day in re.findall(r'\n        "day": (\d+),', head)]
+    else:
+        assert head.startswith("command: convert\nstatus: ok\ninput: ")
+        lo, hi, count = map(int, re.search(r"\nwindow: (\d+)\.\.(\d+)\ncount: (\d+)\nmatches:\n", head).groups())
+        days = [int(day) for day in re.findall(r"\n  - day: (\d+)\n", head)]
+    step = days[1] - days[0]
+    assert days == list(range(days[0], days[-1] + 1, step))
+    assert lo <= days[0] < lo + step and count == (hi - days[0]) // step + 1
+
+
 def asked_format(argv: list[str]) -> str:
     """The value of the last ``--format X`` or ``--format=X`` naming a format, else text."""
     pairs = [arg.partition("=")[::2] if arg.startswith("--format=") else (arg, following)
@@ -591,13 +612,24 @@ class TestCommandLines:
     @example(argv=["lunar", "--format", "json", "age", "--lc", "9.9.16.0.0", "--lc0", "٣", "--ratio=1/5"])
     @example(argv=["factor", "1"])
     @example(argv=["convert", CREATION_CR, "--format=json", "--window", f"1{'0' * 3999}..1{'0' * 3994}40000"])
+    @example(argv=["convert", CREATION_CR, "--window", f"38629..{'6' * 4000}"])  # never ends
+    @example(argv=["--format", "json", "convert", CREATION_CR, "--window", f"0..{'6' * 4000}"])
     def test_every_command_line_gets_one_envelope(self, monkeypatch, argv):
         # Whatever the command line, one envelope in the format asked for, and nothing on stderr.
+        # A window may be accepted that no run could write whole: its head is checked instead.
         monkeypatch.delenv(cli.FORMAT_ENV_VAR, raising=False)
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(argv)
-        out = out.getvalue()
-        assert code in (0, 1, 2) and err.getvalue() == ""
+        out = Sink(limit=4 * 2**20, keep=4 * 2**20)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except Full:
+                code = None
+        assert err.getvalue() == ""
+        if code is None:
+            assert_window_head(out.head, asked_format(argv))
+            return
+        out = out.head
+        assert code in (0, 1, 2)
         status = {0: "ok", 1: "mismatch", 2: "error"}[code]
         if asked_format(argv) == "json":
             data = json.loads(out)  # one document, or this raises
@@ -714,9 +746,8 @@ class TestRows:
         assert lazy.to_json() == reference["json"]
 
     def test_window_matches_are_made_while_rendering(self, monkeypatch):
-        made = []
-        row = cli._window_row
-        monkeypatch.setattr(cli, "_window_row", lambda *args: made.append(args[-1]) or row(*args))
+        made, civil = [], window.gregorian_display  # each row's civil date is its own
+        monkeypatch.setattr(window, "gregorian_display", lambda jdn: made.append(jdn - GMT_CORRELATION) or civil(jdn))
         args = cli.build_parser().parse_args(["convert", "4 Ahau 8 Cumku", "--window", "0..40000"])
         envelope = cli.cmd_convert(args, GMT)
         assert envelope.payload["count"] == 3
@@ -734,7 +765,8 @@ class TestRows:
                 assert main(["--format", fmt, *argv]) == 0
             streamed[fmt] = out.getvalue()
         envelope = cli.cmd_convert(cli.build_parser().parse_args(argv), GMT)
-        payload = {**envelope.payload, "matches": list(envelope.payload["matches"])}
+        matches = envelope.payload["matches"]
+        payload = {**envelope.payload, "matches": [match_summary(d, GMT) for d in (matches.days if matches else [])]}
         assert payload["count"] == len(payload["matches"])
         reference = reference_rendering("convert", payload)
         assert streamed == {fmt: rendering + "\n" for fmt, rendering in reference.items()}
@@ -744,6 +776,8 @@ class TestRows:
            correlation=st.integers(1, 10**9))
     @example(day=0, lo=0, width=10**6, correlation=GMT_CORRELATION)  # years BC
     @example(day=0, lo=10**15, width=10**6, correlation=10**9)  # years past 9999
+    @example(day=1, lo=0, width=0, correlation=GMT_CORRELATION)  # no match
+    @example(day=0, lo=0, width=0, correlation=GMT_CORRELATION)  # one
     def test_rows_match_the_records(self, day, lo, width, correlation):
         assert_rows_match_the_records(day, lo, width, correlation)
 
@@ -753,14 +787,42 @@ class TestRows:
     @example(day=0, lo=0, width=10**8, correlation=1)  # years BC
     @example(day=CALENDAR_ROUND - 1, lo=10**15, width=10**8, correlation=10**9)  # years past 9999
     def test_rows_reread_every_table(self, day, lo, width, correlation):
-        # Over 360 matches, each of a window's tables is full and read again: its keys are the residues
-        # of the window's days, as many as the period over its gcd with the Calendar Round (1, 63, 360).
-        rows = assert_rows_match_the_records(day, lo, width, correlation)
-        *tables, _ = rows.row.args
-        for table, period in zip(tables, (CALENDAR_ROUND, KAWIL_CYCLE, KATUN)):
-            assert sorted(table) == sorted({d % period for d in rows.keys})
-            assert len(table) == period // math.gcd(period, CALENDAR_ROUND)
+        # Over 360 matches, each field a cycle decides is rendered for the first rows of its period only,
+        # the period over its gcd with the Calendar Round (1, 63, 360), and then read again.
+        rendered, periodic = {}, window._periodic
+
+        def counted(days, period, render):
+            rendered[period] = 0
+
+            def count(day):
+                rendered[period] += 1
+                return render(day)
+            return periodic(days, period, count)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(window, "_periodic", counted)
+            assert_rows_match_the_records(day, lo, width, correlation)
+        assert rendered == {period: period // math.gcd(period, CALENDAR_ROUND)
+                            for period in (CALENDAR_ROUND, KAWIL_CYCLE, KATUN)}
         assert set(_DAYS_OF_YEAR) <= set(range(366))
+
+    @settings(max_examples=60, deadline=None)
+    @given(step=st.sampled_from([1, 20, 260, 365, KAWIL_CYCLE, KATUN, CALENDAR_ROUND]) | st.integers(1, 10**7),
+           lo=st.integers(0, 10**30), rows=st.integers(1, 400), correlation=st.integers(1, 10**9))
+    @example(step=CALENDAR_ROUND, lo=0, rows=1, correlation=GMT_CORRELATION)  # years BC
+    @example(step=CALENDAR_ROUND, lo=5, rows=62, correlation=1)
+    @example(step=CALENDAR_ROUND, lo=0, rows=63, correlation=GMT_CORRELATION)
+    @example(step=CALENDAR_ROUND, lo=17, rows=64, correlation=10**9)
+    @example(step=CALENDAR_ROUND, lo=0, rows=359, correlation=GMT_CORRELATION)
+    @example(step=CALENDAR_ROUND, lo=10**30, rows=360, correlation=10**9)  # years past 9999
+    @example(step=CALENDAR_ROUND, lo=BAKTUN - 1, rows=361, correlation=1)
+    @example(step=1, lo=0, rows=400, correlation=1)
+    @example(step=7, lo=10**30 - 3, rows=361, correlation=GMT_CORRELATION)
+    def test_writer_matches_the_records_at_any_step(self, step, lo, rows, correlation):
+        # The writer of any progression of days, not only a Calendar Round window's.
+        constant = CorrelationConstant(correlation)
+        matches = window.WindowMatches(range(lo, lo + rows * step, step), constant.jdn_at_creation)
+        assert_renders_the_records(OutputEnvelope.result("convert", {"matches": matches}), constant)
 
     @settings(max_examples=200, deadline=None)
     @given(value=JSONABLE)
@@ -777,9 +839,9 @@ class TestStreaming:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_wide_window_renders_in_bounded_memory(self, monkeypatch, fmt):
         rows = 200_000
-        # The cheapest row, so that the test measures rendering rather than the
+        # The cheapest civil date, so that the test measures rendering rather than the
         # calendar: tracemalloc makes every allocation several times slower.
-        monkeypatch.setattr(cli, "_window_row", lambda *args: args[-1:] * len(cli._MATCH_FIELDS))
+        monkeypatch.setattr(window, "gregorian_display", str)
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
