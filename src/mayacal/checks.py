@@ -2,32 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
 from numbers import Number, Rational
 from typing import Any, NamedTuple
-
-
-class Rows:
-    """Records made lazily and never held whole: ``row(key)`` gives, for each
-    of ``keys``, the values of ``fields`` in order (str, int, bool, None, list or dict).
-
-    Iterating yields each row as a dict, and truth asks ``keys``.  The
-    renderers write ``row``'s values through one template made from
-    ``fields``: text writes each value with ``str``, and JSON writes an int
-    or a str inline and any other value (a list, a dict, a bool or None) as
-    it writes that value alone.
-    """
-
-    __slots__ = ("fields", "row", "keys")
-
-    def __init__(self, fields: tuple[str, ...], row: Callable[[Any], tuple], keys: Sequence) -> None:
-        self.fields, self.row, self.keys = fields, row, keys
-
-    def __bool__(self) -> bool:
-        return bool(self.keys)
-
-    def __iter__(self) -> Iterator[dict]:
-        return (dict(zip(self.fields, values)) for values in map(self.row, self.keys))
 
 
 def jsonable(value: Any) -> Any:

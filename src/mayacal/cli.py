@@ -21,17 +21,16 @@ import os
 import sys
 from collections.abc import Callable, Iterator
 from fractions import Fraction
-from functools import partial
 from typing import Any, NamedTuple
 
 from .arith import decimal_str, factorize, round_nearest
-from .checks import Check, Rows, jsonable
+from .checks import Check, jsonable
 from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
 from .cycles import ERA, cycle_date
 from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
                     ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
 from .notation import DateParseError, era_display, parse, read_int, resolution
-from .supernumber import (PAPER, CulturalDate, creation_residues, cultural_dates, derive, named_days,
+from .supernumber import (PAPER, creation_residues, cultural_dates, derive, named_days,
                           verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
                           verify_grand_cycle_division, verify_supernumber, verify_xultun)
 from .window import WRITE_BATCH, WindowMatches
@@ -77,7 +76,8 @@ class _Parser(argparse.ArgumentParser):
 class OutputEnvelope(NamedTuple("OutputEnvelope", [("command", str), ("status", str), ("payload", dict),
                                                    ("checks", list[Check])])):
     """One command result (status ok, mismatch or error), rendered identically to text and JSON.  ``checks`` is
-    its own list, fresh when not given; the payload is written as built (str, int, bool, None, list, dict, Rows)."""
+    its own list, fresh when not given; the payload is written as built (str, int, bool, None, list, dict), and a
+    window's matches by their own writer."""
 
     __slots__ = ()
 
@@ -99,8 +99,8 @@ class OutputEnvelope(NamedTuple("OutputEnvelope", [("command", str), ("status", 
         return {"ok": 0, "mismatch": 1}.get(self.status, FAULT_EXIT if "raised_at" in self.payload else 2)
 
     def to_dict(self) -> dict:
-        return {**self._asdict(), "checks": Rows(
-            _CHECK_FIELDS, lambda c: (c.name, jsonable(c.expected), jsonable(c.computed), c.passed), self.checks)}
+        return {**self._asdict(), "checks": [{"name": c.name, "expected": jsonable(c.expected),
+                                              "computed": jsonable(c.computed), "pass": c.passed} for c in self.checks]}
 
     def render(self, fmt: str) -> Iterator[str]:
         """The ``fmt`` rendering ("text" or "json") in pieces, each made as it is read."""
@@ -140,11 +140,11 @@ def _text_lines(value: dict, indent: int = 0) -> Iterator[str]:
         elif isinstance(item, WindowMatches):
             yield f"{pad}{key}:"
             yield from item.text(pad)
-        elif isinstance(item, Rows) and item:
+        elif isinstance(item, list) and item and isinstance(item[0], dict):  # a table: a list of dicts only
             yield f"{pad}{key}:"  # then each row as a list entry below, one string of lines
-            template = f"{pad}  - " + f"\n{pad}    ".join(f"{field}: %s" for field in item.fields)
-            yield from map(template.__mod__, map(item.row, item.keys))
-        elif isinstance(item, (list, Rows)):
+            nl = f"\n{pad}    "
+            yield from (f"{pad}  - " + nl.join(f"{field}: {v}" for field, v in row.items()) for row in item)
+        elif isinstance(item, list):
             rendered = ", ".join(str(i) for i in item)
             yield f"{pad}{key}: [{rendered}]"
         else:
@@ -170,18 +170,6 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
             yield from _json_pieces(item, quote, inner)
             sep = ","
         yield pad + "]"
-    elif isinstance(value, Rows) and value:
-        # Each row is an object one level in, written as the dict branch writes it:
-        # an int or a str inline, any other value as it is written alone, at its entry's pad.
-        entries = ",".join(f"{inner}  {quote(field)}: %s" for field in value.fields)
-        template = f"{inner}{{{entries}{inner}}}"
-        entry = inner + "  "
-        sep = "["
-        for values in map(value.row, value.keys):
-            yield sep + template % tuple([v if type(v) is int else quote(v) if type(v) is str
-                                          else "".join(_json_pieces(v, quote, entry)) for v in values])
-            sep = ","
-        yield pad + "]"
     elif isinstance(value, str):
         yield quote(value)
     elif isinstance(value, WindowMatches):
@@ -189,7 +177,7 @@ def _json_pieces(value: Any, quote: Callable[[str], str], pad: str = "\n") -> It
         yield "[" + next(pieces)
         yield from map(",".__add__, pieces)
         yield pad + "]"
-    elif isinstance(value, (dict, list, Rows)):
+    elif isinstance(value, (dict, list)):
         yield "{}" if isinstance(value, dict) else "[]"
     elif value is None or value is True or value is False:
         yield "null" if value is None else "true" if value else "false"
@@ -219,9 +207,6 @@ def _describe_day(day: int, constant: CorrelationConstant) -> dict:
         "gregorian": str(corr.gregorian),
     }
 
-
-#: The fields of a check in a JSON envelope.
-_CHECK_FIELDS = ("name", "expected", "computed", "pass")
 
 def _parse_window(text: str) -> tuple[int, int]:
     """The bounds of ``LO..HI``; :func:`resolution` checks that ``LO <= HI``."""
@@ -280,14 +265,9 @@ def cmd_verify(args, constant: CorrelationConstant) -> OutputEnvelope:
     return OutputEnvelope.result(args.command, payload, checks)
 
 
-#: The fields of a lunar equation, and of an attested one in ``lunar table``.
-_CANDIDATE_FIELDS = ("days", "lunations", "ratio", "ratio_decimal", "error", "error_decimal", "lcm_260")
-_TABLE_FIELDS = (*_CANDIDATE_FIELDS, "error_rounded", "source")
-
-
-def _candidate_row(c: LunarCandidate) -> tuple:
-    return (c.days, c.lunations, c.ratio_str, decimal_str(c.ratio, 6), str(c.error), decimal_str(c.error, 6),
-            c.lcm260)
+def _candidate(c: LunarCandidate) -> dict:
+    return {"days": c.days, "lunations": c.lunations, "ratio": c.ratio_str, "ratio_decimal": decimal_str(c.ratio, 6),
+            "error": str(c.error), "error_decimal": decimal_str(c.error, 6), "lcm_260": c.lcm260}
 
 
 def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
@@ -296,8 +276,8 @@ def cmd_lunar_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     modern = rows[-1]
     payload = {
         "supernumber": n,
-        "rows": Rows(_TABLE_FIELDS, lambda c: (*_candidate_row(c), round_nearest(c.error), TABLE_SOURCES[c.days]),
-                     rows[:-1]),
+        "rows": [{**_candidate(c), "error_rounded": round_nearest(c.error), "source": TABLE_SOURCES[c.days]}
+                 for c in rows[:-1]],
         "modern": {
             "ratio_decimal": decimal_str(modern.ratio, 6),
             "error": str(modern.error),
@@ -317,10 +297,10 @@ def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
         "target": decimal_str(MODERN_SYNODIC_MONTH, 6),
         "scanned": max_lunations,
         "within_calendar_round": len(result.filtered),
-        "zero_error": Rows(_CANDIDATE_FIELDS, _candidate_row, result.zero_error),
-        "minimal_nonzero": Rows(_CANDIDATE_FIELDS, _candidate_row, result.minimal_nonzero),
-        "best": dict(zip(_CANDIDATE_FIELDS, _candidate_row(result.best))) if result.best else None,
-        "pareto": Rows(_CANDIDATE_FIELDS, _candidate_row, result.pareto),
+        "zero_error": [_candidate(c) for c in result.zero_error],
+        "minimal_nonzero": [_candidate(c) for c in result.minimal_nonzero],
+        "best": _candidate(result.best) if result.best else None,
+        "pareto": [_candidate(c) for c in result.pareto],
     }
     # The published-outcome checks only apply to the full 643-lunation scan.
     checks = verify_search(result).checks if max_lunations == 643 else []
@@ -373,19 +353,12 @@ def cmd_factor(args, constant: CorrelationConstant) -> OutputEnvelope:
     return OutputEnvelope.result(args.command, payload)
 
 
-#: The fields of a ``table cultural-dates`` row.
-_CULTURAL_FIELDS = ("label", "meaning", "day", "long_count", "calendar_round", "kawil", "direction_color_name",
-                    "position", "gregorian")
-
-
-def _cultural_row(jdn_at_creation: int, row: CulturalDate) -> tuple:
-    return (row.label, row.meaning, row.day, row.lcc_display, row.cycle.calendar_round, row.cycle.kawil,
-            row.cycle.direction_color_name, list(row.position), gregorian_display(row.day + jdn_at_creation))
-
-
 def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     constants = derive(PAPER)
-    rows = Rows(_CULTURAL_FIELDS, partial(_cultural_row, constant.jdn_at_creation), cultural_dates(constants))
+    rows = [{"label": row.label, "meaning": row.meaning, "day": row.day, "long_count": row.lcc_display,
+             "calendar_round": row.cycle.calendar_round, "kawil": row.cycle.kawil,
+             "direction_color_name": row.cycle.direction_color_name, "position": list(row.position),
+             "gregorian": gregorian_display(row.day + constant.jdn_at_creation)} for row in cultural_dates(constants)]
     payload = {"table": args.name, "rows": rows}
     return OutputEnvelope.result(args.command, payload, verify_cultural_dates(constants).checks)
 
@@ -506,7 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     fmt = _output_format(argv)  # argparse checks the flag, but a line it refuses is answered in this format too
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # as parse_args words it, but under the subcommand rather than the root parser
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}", args.command)
     except UsageError as exc:
         return _emit(OutputEnvelope.error(exc.command, str(exc)), fmt)
 

@@ -3,7 +3,7 @@
 A ``convert --window`` answer is the one payload with no bound on its size:
 ``--window 0..10000000000000`` has 5.3e8 matches, about 100 GB of text.  So
 its rows have their own writer, one loop per format, in place of the
-template of a :class:`~mayacal.checks.Rows`, and the bytes are the same.
+generic writers every other table goes through, and the bytes are the same.
 Each row is one string.  The day, its baktun and katun, its JDN and the
 JDN's civil date are the row's own.  Every other field is decided by a
 cycle, so, as the days step by the window's step, it repeats: it is

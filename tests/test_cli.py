@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mayacal import cli, window
-from mayacal.checks import Check, Rows
+from mayacal.checks import Check
 from mayacal.cli import OutputEnvelope, main
 from mayacal.correlation import _DAYS_OF_YEAR, GMT_CORRELATION, CorrelationConstant, describe
 from mayacal.cycles import BAKTUN, KATUN, KAWIL_CYCLE, cycle_date
@@ -80,8 +80,8 @@ def assert_renders_the_records(envelope: OutputEnvelope, constant: CorrelationCo
 def reference_rendering(command: str, payload: dict) -> dict[str, str]:
     """Both renderings of a check-free ``ok`` envelope whose payload holds its records as
     lists of dicts: the JSON as ``json`` writes it, and the text entry by entry, each
-    record a list item whose fields are indented below its first.  The reference for
-    :class:`~mayacal.checks.Rows`, which writes each record through one template."""
+    record a list item whose fields are indented below its first.  The reference for the
+    envelope's writers, which write each record as one string, and for a window's own."""
 
     def lines(value: dict, indent: int = 0):
         pad = "  " * indent
@@ -161,9 +161,13 @@ class TestExitCodes:
          (["convert", "--day", "1_000"], "convert", "bad --day '1_000'"),
          (["--correlation", "+584283", "verify"], "verify", "bad --correlation '+584283'"),
          (["lunar", "search", "--max", " 5"], "lunar search", "bad --max ' 5'"),
-         (["factor", "3_276"], "factor", "bad n '3_276'")],
+         (["factor", "3_276"], "factor", "bad n '3_276'"),
+         # An argument no parser takes is named under the subcommand it follows.
+         (["verify", "eq1", "extra"], "verify", "unrecognized arguments: extra"),
+         (["lunar", "age", "--lc", "0", "--lc0", "0", "x"], "lunar age", "unrecognized arguments: x"),
+         (["convert", "9.9.16.0.0", "4", "Ahau", "8", "Cumku"], "convert", "unrecognized arguments: 4 Ahau 8 Cumku")],
         ids=["frobnicate", "verify-eq9", "day-x", "day-underscore", "correlation-plus", "max-space",
-             "factor-underscore"],
+             "factor-underscore", "verify-extra", "lunar-age-extra", "convert-unquoted"],
     )
     def test_usage_error_from_argparse(self, capsys, monkeypatch, fmt, argv, command, error):
         for asked_by in ("flag", "env"):
@@ -369,8 +373,8 @@ class TestExitCodes:
                                             (window, ["convert", CREATION_CR, "--window", "0..40000"])],
                              ids=["table", "narrow-window"])
     def test_render_fault_gets_an_envelope(self, capsys, monkeypatch, fmt, owner, argv):
-        # Rows are made while the envelope renders; a fault there, before anything
-        # is written, gets the envelope a fault in the handler gets.
+        # A table's rows are made in the handler, a window's while the envelope renders;
+        # a fault in either, before anything is written, gets the same envelope.
         def broken(*args):
             raise TypeError("boom")
 
@@ -737,13 +741,11 @@ class TestRows:
     def test_rows_render_like_a_list(self):
         fields = ("day", "half", "quoted", "other")
         rows = [(d, f"{d}/2", f'"{d}" \\ é\t', other) for d, other in enumerate(([0, [1, 2]], None, True))]
-        lazy = OutputEnvelope.result("x", {"rows": Rows(fields, rows.__getitem__, range(3)),
-                                           "none": Rows(fields, rows.__getitem__, range(0))})
-        eager = {"rows": [dict(zip(fields, row)) for row in rows], "none": []}
-        assert list(lazy.payload["rows"]) == eager["rows"]
-        reference = reference_rendering("x", eager)
-        assert lazy.to_text() == reference["text"]
-        assert lazy.to_json() == reference["json"]
+        payload = {"rows": [dict(zip(fields, row)) for row in rows], "none": []}
+        envelope = OutputEnvelope.result("x", payload)
+        reference = reference_rendering("x", payload)
+        assert envelope.to_text() == reference["text"]
+        assert envelope.to_json() == reference["json"]
 
     def test_window_matches_are_made_while_rendering(self, monkeypatch):
         made, civil = [], window.gregorian_display  # each row's civil date is its own
@@ -829,10 +831,6 @@ class TestRows:
     def test_json_writer_is_the_stdlib_encoder(self, value):
         written = "".join(cli._json_pieces(value, json.encoder.encode_basestring))
         assert written == json.dumps(value, indent=2, ensure_ascii=False)
-        # A record's value is written as it is alone, whatever it is.
-        rows = {"rows": Rows(("value", "key"), lambda key: (value, key), range(2))}
-        written = "".join(cli._json_pieces(rows, json.encoder.encode_basestring))
-        assert written == json.dumps({"rows": list(rows["rows"])}, indent=2, ensure_ascii=False)
 
 
 class TestStreaming:
@@ -1066,23 +1064,19 @@ class TestFormats:
         assert json.loads(run("convert", "--day", "0", *flags)[1])["payload"]["correlation"] == 584285
 
 
-def lists_holding_dicts(value) -> list:
-    """Every list in ``value``, at any depth and in the values of its Rows, that holds a dict."""
-    if isinstance(value, Rows):
-        return [found for values in map(value.row, value.keys) for v in values for found in lists_holding_dicts(v)]
+def mixed_lists(value) -> list:
+    """Every list in ``value``, at any depth, that holds a dict and something other than a dict."""
     if isinstance(value, dict):
-        return [found for v in value.values() for found in lists_holding_dicts(v)]
+        return [found for v in value.values() for found in mixed_lists(v)]
     if isinstance(value, list):
-        held = [value] if any(isinstance(i, dict) for i in value) else []
-        return held + [found for i in value for found in lists_holding_dicts(i)]
+        held = [value] if len({isinstance(i, dict) for i in value}) > 1 else []
+        return held + [found for i in value for found in mixed_lists(i)]
     return []
 
 
 def unwritten(value) -> list:
-    """Each value in a payload, at any depth and in the values of its Rows, that is not a str, int, bool,
-    None, list, str-keyed dict or Rows, and each dict key that is not a str: what the renderers do not write."""
-    if type(value) is Rows:
-        return [found for values in map(value.row, value.keys) for v in values for found in unwritten(v)]
+    """Each value in a payload, at any depth, that is not a str, int, bool, None, list or str-keyed
+    dict, and each dict key that is not a str: what the renderers do not write."""
     if type(value) is dict:
         return [k for k in value if type(k) is not str] + [found for v in value.values() for found in unwritten(v)]
     if type(value) is list:
@@ -1092,9 +1086,14 @@ def unwritten(value) -> list:
 
 def test_unwritten_finds_each_kind():
     tzolkin = cycle_date(0).tzolkin  # a record: a tuple, rendered as its str only by jsonable
-    rows = Rows(("value",), lambda v: (v,), [1, Fraction(1, 2)])
-    payload = {"at": tzolkin, 1: [True, None, (2,)], "rows": rows, "nested": {"ok": ["x", -3]}}
+    payload = {"at": tzolkin, 1: [True, None, (2,)], "rows": [{"value": Fraction(1, 2)}], "nested": {"ok": ["x", -3]}}
     assert unwritten(payload) == [1, tzolkin, (2,), Fraction(1, 2)]
+
+
+def test_mixed_lists_finds_each():
+    mixed = [{"a": 1}, 2]
+    payload = {"rows": [{"x": [1, {"y": 2}]}, {}], "m": mixed, "values": [1, [2]], "none": []}
+    assert mixed_lists(payload) == [[1, {"y": 2}], mixed]
 
 
 class TestGolden:
@@ -1123,9 +1122,10 @@ class TestGolden:
 
     @pytest.mark.parametrize("name,argv", COMMANDS)
     def test_every_list_of_records_is_rows(self, name, argv):
-        # One tabular path: a list of records reaches the renderers as Rows, never as dicts.
+        # A list that holds a record holds only records, the rows of one table: the text
+        # writer reads a list as a table from its first entry alone.
         args = cli.build_parser().parse_args(argv)
-        assert lists_holding_dicts(args.run(args, GMT).to_dict()) == []
+        assert mixed_lists(args.run(args, GMT).to_dict()) == []
 
     @pytest.mark.parametrize("name,argv", COMMANDS)
     def test_payload_is_written_as_built(self, name, argv):

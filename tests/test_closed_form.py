@@ -116,7 +116,7 @@ def test_walk_finds_a_spelled_out_epoch():
     assert cycle_literals(ast.parse("tzolkin = (day + TZOLKIN_EPOCH - 1) % TZOLKIN_DAYS")) == []
 
 
-@pytest.mark.parametrize("name", ["cli.py", "notation.py", "correlation.py"])
+@pytest.mark.parametrize("name", ["cli.py", "notation.py", "correlation.py", "window.py", "lunar.py"])
 def test_no_cycle_literals_outside_cycles(name):
     source = (Path(mayacal.__file__).parent / name).read_text(encoding="utf-8")
     assert cycle_literals(ast.parse(source)) == []
