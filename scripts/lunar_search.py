@@ -13,14 +13,14 @@ best nonzero one is marked as the winner.
 import argparse
 
 from mayacal.arith import decimal_str
-from mayacal.lunar import search
+from mayacal.lunar import PUBLISHED_MAX_LUNATIONS, search
 from mayacal.notation import read_int
 from mayacal.supernumber import PAPER, derive
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max", default="643", help="largest lunation count")
+    parser.add_argument("--max", default=str(PUBLISHED_MAX_LUNATIONS), help="largest lunation count")
     parser.add_argument("--all", action="store_true", help="include filtered-out equations")
     args = parser.parse_args(argv)
     try:  # as `mayacal lunar search` reads the flag

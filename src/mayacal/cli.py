@@ -25,10 +25,11 @@ from typing import Any, NamedTuple
 
 from .arith import decimal_str, factorize, round_nearest
 from .checks import Check, jsonable
-from .correlation import GMT_CORRELATION, CorrelationConstant, describe, gregorian_display
+from .correlation import GMT_CORRELATION, CorrelationConstant, civil_text, describe
 from .cycles import ERA, cycle_date
-from .lunar import (MODERN_SYNODIC_MONTH, TABLE_SOURCES, LunarCandidate, eclipse_commensuration, moon_age,
-                    ratio_table, search, verify_palenque, verify_ratio_table, verify_search)
+from .lunar import (MODERN_SYNODIC_MONTH, PUBLISHED_MAX_LUNATIONS, TABLE_SOURCES, LunarCandidate,
+                    eclipse_commensuration, moon_age, ratio_table, search, verify_palenque, verify_ratio_table,
+                    verify_search)
 from .notation import DateParseError, era_display, parse, read_int, resolution
 from .supernumber import (PAPER, creation_residues, cultural_dates, derive, named_days,
                           verify_aeon_division, verify_aeon_identity, verify_cultural_dates,
@@ -302,8 +303,8 @@ def cmd_lunar_search(args, constant: CorrelationConstant) -> OutputEnvelope:
         "best": _candidate(result.best) if result.best else None,
         "pareto": [_candidate(c) for c in result.pareto],
     }
-    # The published-outcome checks only apply to the full 643-lunation scan.
-    checks = verify_search(result).checks if max_lunations == 643 else []
+    # The published-outcome checks only apply to the published scan.
+    checks = verify_search(result).checks if max_lunations == PUBLISHED_MAX_LUNATIONS else []
     return OutputEnvelope.result(args.command, payload, checks)
 
 
@@ -358,7 +359,8 @@ def cmd_table(args, constant: CorrelationConstant) -> OutputEnvelope:
     rows = [{"label": row.label, "meaning": row.meaning, "day": row.day, "long_count": row.lcc_display,
              "calendar_round": row.cycle.calendar_round, "kawil": row.cycle.kawil,
              "direction_color_name": row.cycle.direction_color_name, "position": list(row.position),
-             "gregorian": gregorian_display(row.day + constant.jdn_at_creation)} for row in cultural_dates(constants)]
+             "gregorian": civil_text(row.day + constant.jdn_at_creation, "gregorian")}
+            for row in cultural_dates(constants)]
     payload = {"table": args.name, "rows": rows}
     return OutputEnvelope.result(args.command, payload, verify_cultural_dates(constants).checks)
 
@@ -398,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     lunar_sub = p.add_subparsers(dest="subcommand", required=True)
     leaf(lunar_sub, "table", cmd_lunar_table, "attested lunar equations and their errors")
     p = leaf(lunar_sub, "search", cmd_lunar_search, "scan lunar equations against the super-number")
-    p.add_argument("--max", default="643", help="largest lunation count to scan")
+    p.add_argument("--max", default=str(PUBLISHED_MAX_LUNATIONS), help="largest lunation count to scan")
     p = leaf(lunar_sub, "age", cmd_lunar_age, "days into the lunation at a date")
     p.add_argument("--lc", required=True, help="date (day number or Long Count)")
     p.add_argument("--lc0", required=True, help="new-Moon anchor (day number or Long Count)")

@@ -52,33 +52,22 @@ class CivilDate(NamedTuple("CivilDate", [("year", int), ("month", int), ("day", 
     _replace = checked_replace
 
     def __new__(cls, year: int, month: int, day: int, calendar: Calendar) -> CivilDate:
-        if calendar not in ("julian", "gregorian"):
-            raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
         if not 1 <= month <= 12:
             raise ValueError(f"month must be 1..12, got {month}")
         date = new_record(cls, (year, month, day, calendar))
-        if _civil_fields(civil_to_jdn(date), calendar)[:3] != date[:3]:  # a day past its month is another date
+        # _civil_fields checks the calendar's name, and a day past its month converts to another date.
+        if _civil_fields(civil_to_jdn(date), calendar)[:3] != date[:3]:
             raise ValueError(f"day {day} invalid for {year}-{month:02d} ({calendar})")
         return date
 
-    @property
-    def year_display(self) -> str:
-        """Era-style year: astronomical year -3113 displays as '3114 BC'."""
-        return str(self).split(" ", 2)[2]
-
     def __str__(self) -> str:
-        return _civil_text(civil_to_jdn(self), self.calendar)  # a valid date converts back to itself
+        return civil_text(civil_to_jdn(self), self.calendar)  # a valid date converts back to itself
 
 
-def _civil_text(jdn: int, calendar: Calendar) -> str:
-    """The display of the civil date at a JDN, with an era-style year: '11 August 3114 BC' for year -3113."""
+def civil_text(jdn: int, calendar: Calendar) -> str:
+    """The civil date at a JDN as ``str(jdn_to_civil(jdn, calendar))`` writes it: '11 August 3114 BC' for year -3113."""
     year, _, _, day_month = _civil_fields(jdn, calendar)
     return f"{day_month}{year}" if year > 0 else f"{day_month}{1 - year} BC"
-
-
-def gregorian_display(jdn: int) -> str:
-    """``str(jdn_to_civil(jdn, "gregorian"))`` without building the record."""
-    return _civil_text(jdn, "gregorian")
 
 
 def to_jdn(day: int, constant: CorrelationConstant = GMT) -> int:
@@ -92,20 +81,20 @@ def jdn_to_civil(jdn: int, calendar: Calendar) -> CivilDate:
     """Civil date at a Julian Day Number (proleptic in both calendars)."""
     if jdn < 0:
         raise ValueError(f"jdn must be non-negative, got {jdn}")
-    if calendar not in ("julian", "gregorian"):
-        raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
-    return new_record(CivilDate, _civil_fields(jdn, calendar)[:3] + (calendar,))  # in range by construction
+    return CivilDate(*_civil_fields(jdn, calendar)[:3], calendar)
 
 
 def _civil_fields(jdn: int, calendar: Calendar) -> tuple[int, int, int, str]:
-    """Year, month, day and "day Month " text at a JDN (negative ones too), in either calendar."""
+    """Year, month, day and "day Month " text at a JDN (negative ones too), in either calendar, whose name it checks."""
     if calendar == "gregorian":
         a = jdn + 32044
         b = (4 * a + 3) // 146097
         c = a - 146097 * b // 4
-    else:
+    elif calendar == "julian":
         b = 0
         c = jdn + 32082
+    else:
+        raise ValueError(f"calendar must be 'julian' or 'gregorian', got {calendar!r}")
     d = (4 * c + 3) // 1461
     carry, month, day, day_month = _DAYS_OF_YEAR[c - 1461 * d // 4]
     return 100 * b + d - 4800 + carry, month, day, day_month

@@ -201,17 +201,6 @@ def haab_from_pos(pos: int) -> HaabDate:
     return HaabDate(day=ordinal % 20, month_index=ordinal // 20)
 
 
-def long_count_from_day(day: int) -> LongCount:
-    """Canonical digit expansion of a day number (radix 20/18/20/20, open baktun)."""
-    if day < 0:
-        raise ValueError(f"day must be non-negative, got {day}")
-    baktun, rest = divmod(day, BAKTUN)
-    katun, rest = divmod(rest, KATUN)
-    tun, rest = divmod(rest, TUN)
-    winal, kin = divmod(rest, WINAL)
-    return LongCount(baktun, katun, tun, winal, kin)
-
-
 #: :func:`calendar_parts`'s Tzolk'in and Haab' records by zero-based ordinal: at most 260 and 365, each made once.
 _TZOLKINS = Memo(lambda ordinal: new_record(TzolkinDate, (ordinal % 13 + 1, ordinal % 20)))
 _HAABS = Memo(lambda ordinal: new_record(HaabDate, (ordinal % 20, ordinal // 20)))

@@ -43,6 +43,9 @@ TABLE_SOURCES = {
 }
 TABLE_LENGTHS = tuple(TABLE_SOURCES)
 
+#: The published scan's bound, i = 1..643: i = 643 gives T = 18988, the first T of at least one Calendar Round.
+PUBLISHED_MAX_LUNATIONS = 643
+
 PALENQUE_RATIO = Fraction(2392, 81)
 PALENQUE_MULTIPLIER = 26008014145502  # lunations in N: 81*N + 104 = multiplier * 2392
 
@@ -107,7 +110,7 @@ class SearchResult(NamedTuple):
     pareto: tuple[LunarCandidate, ...]  # filtered, Pareto-optimal in (epsilon, |S - S0|)
 
 
-def search(n: int, max_lunations: int = 643) -> SearchResult:
+def search(n: int, max_lunations: int = PUBLISHED_MAX_LUNATIONS) -> SearchResult:
     """Scan lunar equations i = 1..max_lunations with T0_i = Rd(i * S0).
 
     S0 is the modern synodic month, MODERN_SYNODIC_MONTH.  Flags, among the

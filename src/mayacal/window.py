@@ -17,7 +17,7 @@ from itertools import chain, cycle, islice
 from math import gcd
 from typing import NamedTuple
 
-from .correlation import gregorian_display
+from .correlation import civil_text
 from .cycles import BAKTUN, CALENDAR_ROUND, KATUN, KAWIL_CYCLE, calendar_parts, cycle_date
 
 #: Characters joined per write: each write is a syscall when stdout is
@@ -37,17 +37,17 @@ class WindowMatches(NamedTuple):
         nl = f"\n{pad}    "
         return _batches("\n", (
             f"{pad}  - day: {day}{nl}long_count: {day // BAKTUN}.{day // KATUN % 20}.{places}{nl}calendar_round: "
-            f"{rounds}{nl}kawil: {kawil}{nl}jdn: {jdn}{nl}gregorian: {gregorian_display(jdn)}"
+            f"{rounds}{nl}kawil: {kawil}{nl}jdn: {jdn}{nl}gregorian: {civil_text(jdn, 'gregorian')}"
             for day, jdn, rounds, kawil, places in self._cycled(str, f"{nl}direction_color_name: ")))
 
     def json(self, quote: Callable[[str], str], pad: str) -> Iterator[str]:
         """The rows as objects at ``pad``, joined by commas, in pieces of about :data:`WRITE_BATCH`;
-        ``quote`` is the JSON encoder's, and a Long Count, of digits and dots, needs none."""
+        ``quote`` is the JSON encoder's; a Long Count or civil date needs none: letters, digits, dots and spaces."""
         e = pad + "  "
         return _batches(",", (
             f'{pad}{{{e}"day": {day},{e}"long_count": "{day // BAKTUN}.{day // KATUN % 20}.{places}",'
             f'{e}"calendar_round": {rounds},{e}"kawil": {kawil},{e}"jdn": {jdn},'
-            f'{e}"gregorian": {quote(gregorian_display(jdn))}{pad}}}'
+            f'{e}"gregorian": "{civil_text(jdn, "gregorian")}"{pad}}}'
             for day, jdn, rounds, kawil, places in self._cycled(quote, f',{e}"direction_color_name": ')))
 
     def _cycled(self, quote: Callable[[str], str], color: str) -> Iterator[tuple]:

@@ -227,6 +227,10 @@ class TestLcm:
     def test_overflow_is_distinct_error(self):
         with pytest.raises(OverflowError):
             lcm_factorization([2**62, 3**39])
+        with pytest.raises(OverflowError, match=f"^lcm {3 * 2**62} exceeds 2\\*\\*63 - 1$"):
+            lcm_factorization([2**62, 3])
+        # 2**63 - 1 itself is in range.
+        assert str(lcm_factorization([INT63_MAX])) == "7^2 × 73 × 127 × 337 × 92737 × 649657"
 
 
 class TestCrt:

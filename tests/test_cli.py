@@ -378,7 +378,7 @@ class TestExitCodes:
         def broken(*args):
             raise TypeError("boom")
 
-        monkeypatch.setattr(owner, "gregorian_display", broken)
+        monkeypatch.setattr(owner, "civil_text", broken)
         code = main(["--format", fmt, *argv])
         out, err = capsys.readouterr()
         assert (code, err) == (cli.FAULT_EXIT, "")
@@ -395,18 +395,18 @@ class TestExitCodes:
     def test_render_fault_after_output_truncates(self, capsys, monkeypatch, fmt):
         # Once a batch is written no envelope can follow: stdout stops, as a
         # killed call leaves it, and the fault is one line on stderr.
-        civil, faulty = window.gregorian_display, CALENDAR_ROUND * 3000
+        civil, faulty = window.civil_text, CALENDAR_ROUND * 3000
 
-        def breaks_late(jdn):  # at the row of day `faulty`
+        def breaks_late(jdn, calendar):  # at the row of day `faulty`
             if jdn == faulty + GMT_CORRELATION:
                 raise TypeError("boom")
-            return civil(jdn)
+            return civil(jdn, calendar)
 
         argv = ["--format", fmt, "convert", CREATION_CR, "--window", f"0..{CALENDAR_ROUND * 4000}"]
-        monkeypatch.setattr(window, "gregorian_display", breaks_late)
+        monkeypatch.setattr(window, "civil_text", breaks_late)
         code = main(argv)
         out, err = capsys.readouterr()
-        monkeypatch.setattr(window, "gregorian_display", civil)
+        monkeypatch.setattr(window, "civil_text", civil)
         assert main(argv) == 0
         whole = capsys.readouterr().out
         assert code == cli.FAULT_EXIT
@@ -748,8 +748,9 @@ class TestRows:
         assert envelope.to_json() == reference["json"]
 
     def test_window_matches_are_made_while_rendering(self, monkeypatch):
-        made, civil = [], window.gregorian_display  # each row's civil date is its own
-        monkeypatch.setattr(window, "gregorian_display", lambda jdn: made.append(jdn - GMT_CORRELATION) or civil(jdn))
+        made, civil = [], window.civil_text  # each row's civil date is its own
+        monkeypatch.setattr(window, "civil_text", lambda jdn, calendar: made.append(jdn - GMT_CORRELATION)
+                            or civil(jdn, calendar))
         args = cli.build_parser().parse_args(["convert", "4 Ahau 8 Cumku", "--window", "0..40000"])
         envelope = cli.cmd_convert(args, GMT)
         assert envelope.payload["count"] == 3
@@ -839,7 +840,7 @@ class TestStreaming:
         rows = 200_000
         # The cheapest civil date, so that the test measures rendering rather than the
         # calendar: tracemalloc makes every allocation several times slower.
-        monkeypatch.setattr(window, "gregorian_display", str)
+        monkeypatch.setattr(window, "civil_text", lambda jdn, calendar: str(jdn))
         sink = Sink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()

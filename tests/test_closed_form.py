@@ -26,9 +26,9 @@ from mayacal.cycles import (
     HAAB_DAYS,
     TZOLKIN_DAYS,
     CycleDate,
+    LongCount,
     cycle_date,
     haab_from_pos,
-    long_count_from_day,
     tzolkin_from_pos,
 )
 from mayacal.notation import expression_from_day
@@ -41,13 +41,16 @@ CYCLE_LITERALS = {159, 160, 348, 349, 819, 3276, 144000, 7200}
 
 def built(day: int) -> CycleDate:
     """A day's cycles, each built through its validating constructor."""
+    baktun, rest = divmod(day, 144000)
+    katun, rest = divmod(rest, 7200)
+    tun, rest = divmod(rest, 360)
     return CycleDate(
         day=day,
         tzolkin=tzolkin_from_pos((day + 160) % 260),
         haab=haab_from_pos((day + 349) % 365),
         kawil=(day + 3) % 819,
         direction_color=(day + 3) // 819 % 4,
-        long_count=long_count_from_day(day),
+        long_count=LongCount(baktun, katun, tun, *divmod(rest, 20)),
     )
 
 

@@ -1,5 +1,6 @@
 import random
 from datetime import date as _pydate
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,11 +11,13 @@ from mayacal.correlation import (
     GMT_CORRELATION,
     CivilDate,
     CorrelationConstant,
+    civil_text,
     civil_to_jdn,
     describe,
     jdn_to_civil,
     to_jdn,
 )
+from mayacal.window import WindowMatches
 
 
 class TestToJdn:
@@ -61,6 +64,8 @@ class TestJdnToCivil:
     def test_bad_calendar(self):
         with pytest.raises(ValueError):
             jdn_to_civil(2456283, "islamic")
+        with pytest.raises(ValueError, match="^calendar must be 'julian' or 'gregorian', got 'Gregorian'$"):
+            civil_text(2456283, "Gregorian")  # not read as the Julian calendar
 
     def test_negative_jdn_rejected(self):
         with pytest.raises(ValueError):
@@ -105,15 +110,25 @@ class TestCivilDate:
         CivilDate(1900, 2, 29, "julian")
         with pytest.raises(ValueError):
             CivilDate(1900, 2, 29, "gregorian")
-        with pytest.raises(ValueError):
-            CivilDate(2000, 13, 1, "gregorian")
+        for month in (0, 13):  # refused by the bound, before the round trip would refuse the day
+            with pytest.raises(ValueError, match=f"^month must be 1..12, got {month}$"):
+                CivilDate(2000, month, 1, "gregorian")
         with pytest.raises(ValueError):
             CivilDate(2000, 4, 31, "gregorian")
 
     def test_bc_display(self):
-        assert CivilDate(0, 3, 1, "gregorian").year_display == "1 BC"
-        assert CivilDate(-3113, 8, 11, "gregorian").year_display == "3114 BC"
-        assert CivilDate(766, 2, 17, "julian").year_display == "766"
+        assert str(CivilDate(0, 3, 1, "gregorian")) == "1 March 1 BC"
+        assert str(CivilDate(-3113, 8, 11, "gregorian")) == "11 August 3114 BC"
+        assert str(CivilDate(766, 2, 17, "julian")) == "17 February 766"
+
+
+@pytest.mark.parametrize("jdn,text", [(1721426, "1 January 1"), (1721425, "31 December 1 BC")])
+def test_first_year_of_the_era(jdn, text):
+    # Year 1 is the first without "BC", and the year before it is 1 BC: there is no year 0.
+    assert str(jdn_to_civil(jdn, "gregorian")) == text
+    row = WindowMatches(range(1), jdn)  # day 0 at this JDN
+    assert "".join(row.text("")).endswith(f"\n    gregorian: {text}")
+    assert "".join(row.json(encode_basestring, "\n")).endswith(f'"gregorian": "{text}"\n}}')
 
 
 def test_round_trip_sampled_both_calendars():

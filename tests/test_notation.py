@@ -192,6 +192,11 @@ class TestFormat:
         assert format_date(expr, "plain") == "0.0.0.0.0 4 Ahau 8 Cumku"
         assert format_date(expr, "annotated") == "13(0).0.0.0.0 4 Ahau 8 Cumku"
 
+    def test_annotated_marks_only_baktuns_of_13k(self):
+        # 9.0.0.0.0 has its four lower digits 0, but 9 baktuns are no era completion.
+        expr = parse("9.0.0.0.0 8 Ahau 13 Ceh")
+        assert format_date(expr, "annotated") == "9.0.0.0.0 8 Ahau 13 Ceh"
+
     def test_calendar_round_only(self):
         expr = DateExpression(tzolkin=TzolkinDate(4, 19), haab=HaabDate(3, 13))
         assert format_date(expr) == "4 Ahau 3 Kankin"
@@ -273,6 +278,11 @@ class TestResolve:
         for day in hits:
             cd = cycle_date(day)
             assert (cd.kawil, cd.direction_color) == (3, 0)
+
+    def test_kawil_bounds_are_inclusive(self):
+        # (819, 0) and (0, 4) are refused in test_records; the last day of the 3276-day cycle is not.
+        cd = cycle_date(resolution(DateExpression(kawil=(818, 3)), (0, 3275)).days[0])
+        assert (cd.kawil, cd.direction_color) == (818, 3)
 
     def test_calendar_round_with_kawil(self):
         cd = cycle_date(1708200)
